@@ -3,12 +3,10 @@
 Times the full per-iteration hot path (suggest + observe) of an
 :class:`~repro.core.OnlineTune` tuner against a static simulated TPC-C
 instance at several history sizes, plus an ``append`` section — rank-k
-Cholesky-extension latency per appended row at several batch sizes, and
-the cross-tenant lockstep ``run_batch`` stepping cost with and without
-fused kernel evaluation — and writes the results to ``BENCH_perf.json``
-at the repository root.  This is the perf trajectory
-every scaling PR measures itself against (paper Table A1 keeps the same
-overhead sub-second at 400 intervals).
+Cholesky-extension latency per appended row at several batch sizes —
+and writes the results to ``BENCH_perf.json`` at the repository root.
+This is the perf trajectory every scaling change measures itself against
+(paper Table A1 keeps the same overhead sub-second at 400 intervals).
 
 Usage::
 
@@ -79,25 +77,17 @@ def run_benchmark(history_sizes: Iterable[int] = HISTORY_SIZES,
     suggest_times: List[float] = []
     observe_times: List[float] = []
     last_metrics: Dict[str, float] = {}
-    # pipelined loop (mirrors TuningSession.run): the next interval's
-    # snapshot is taken right after the current suggest and handed to the
-    # tuner's featurization prefetch, so featurize overlaps the interval
-    # execution instead of the timed suggest path.  Snapshots are a pure
-    # function of the iteration, so the reorder is bit-identical.
-    snapshot = db.observe_snapshot(0, n_queries=session.snapshot_queries)
+    # the TuningSession.run loop; the timed suggest includes featurization
     for t in range(n_iterations):
         profile = db.profile(t)
         tau = db.default_performance(t)
+        snapshot = db.observe_snapshot(t, n_queries=session.snapshot_queries)
         inp = SuggestInput(iteration=t, snapshot=snapshot,
                            metrics=last_metrics, default_performance=tau,
                            is_olap=profile.is_olap)
         t0 = time.perf_counter()
         config = tuner.suggest(inp)
         t1 = time.perf_counter()
-        if t + 1 < n_iterations:
-            snapshot = db.observe_snapshot(t + 1,
-                                           n_queries=session.snapshot_queries)
-            tuner.prefetch_context(snapshot)
         result = db.run_interval(t, config)
         perf = result.objective(profile.is_olap)
         t2 = time.perf_counter()
@@ -106,7 +96,7 @@ def run_benchmark(history_sizes: Iterable[int] = HISTORY_SIZES,
                             default_performance=tau)
         tuner.observe(feedback)
         t3 = time.perf_counter()
-        # mirror TuningSession.step: drain the staged append in the
+        # mirror TuningSession.run: drain the staged append in the
         # interval-execution window (untimed — in production this runs
         # between the observe and the next suggest RPC, off both
         # critical paths)
@@ -124,7 +114,6 @@ def run_benchmark(history_sizes: Iterable[int] = HISTORY_SIZES,
             store.save_delta("bench", {"input": inp, "feedback": feedback},
                              position=len(tuner.repo))
             append_times.append(time.perf_counter() - t4)
-    tuner.close()
     store.close()
     append_bytes = [p.stat().st_size
                     for _, kind, p in store.artifacts("bench")
@@ -255,46 +244,6 @@ def append_latency(history_sizes: Iterable[int] = HISTORY_SIZES,
     }
 
 
-def lockstep_latency(n_tenants: int = 6, n_iterations: int = 40,
-                     seed: int = 0, verbose: bool = True) -> Dict[str, object]:
-    """Cross-tenant batched ``run_batch`` stepping cost.
-
-    Steps ``n_tenants`` same-knob-space sessions in lockstep twice —
-    once with every tenant evaluating its own kernel blocks, once with
-    the per-step appends fused into one stacked GEMM — and reports the
-    wall-clock of each mode plus the fusion counters.
-    """
-    from repro.harness.runner import SessionSpec
-    from repro.service.batching import run_lockstep
-
-    specs = [SessionSpec(tuner="OnlineTune", workload="tpcc",
-                         seed=seed + i, n_iterations=n_iterations)
-             for i in range(n_tenants)]
-    t0 = time.perf_counter()
-    _, unfused_stats = run_lockstep(specs, fuse_appends=False)
-    unfused_seconds = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    _, fused_stats = run_lockstep(specs, fuse_appends=True)
-    fused_seconds = time.perf_counter() - t0
-    out = {
-        "n_tenants": n_tenants,
-        "n_iterations": n_iterations,
-        "seed": seed,
-        "unfused_seconds": float(unfused_seconds),
-        "fused_seconds": float(fused_seconds),
-        "fused_requests": int(fused_stats["fused"]),
-        "gemm_groups": int(fused_stats["groups"]),
-        "append_rows": int(fused_stats["rows"]),
-        "speedup": float(unfused_seconds / fused_seconds),
-    }
-    if verbose:
-        print(f"lockstep {n_tenants} tenants x {n_iterations} intervals: "
-              f"unfused {unfused_seconds:.2f} s, fused {fused_seconds:.2f} s "
-              f"({out['fused_requests']}/{out['append_rows']} appends fused "
-              f"into {out['gemm_groups']} GEMM groups)")
-    return out
-
-
 def _checkpoint_latency(tuner, repeats: int = 5) -> Dict[str, float]:
     """Median save/load wall-clock of a full-state checkpoint of ``tuner``
     (called at the end of the session, i.e. at the largest history)."""
@@ -363,7 +312,6 @@ def refresh(as_baseline: bool = False, output: Path = OUTPUT_PATH,
     """Run the benchmark and merge results into the JSON report."""
     measured = run_benchmark(history_sizes, window, seed)
     measured["append"] = append_latency(history_sizes, seed=seed)
-    measured["append"]["lockstep"] = lockstep_latency(seed=seed)
     report: Dict[str, object] = {}
     if output.exists():
         try:

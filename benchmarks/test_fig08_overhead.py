@@ -30,15 +30,8 @@ def _run():
               "seeded, machine-independent stats)",
               f"tuners: {' '.join(TUNERS)}"]
     timing = [f"fig8 wall-clock timings, {iters} iters"]
-    from repro.core import OnlineTuneConfig
-
-    # measure featurization inline: the pipelined session would prefetch
-    # it off the suggest path, and Table A1 reproduces the paper's
-    # per-module *computation* breakdown, not our overlapped schedule
-    inline_cfg = OnlineTuneConfig(prefetch_featurization=False)
     for name in TUNERS:
-        tuner = make_tuner(name, tuner_space(), seed=0,
-                           onlinetune_config=inline_cfg)
+        tuner = make_tuner(name, tuner_space(), seed=0)
         result = build_session(tuner, JOBWorkload(seed=0), space=tuner.space,
                                n_iterations=iters, seed=0).run()
         times = [r.suggest_seconds for r in result.records]

@@ -45,15 +45,12 @@ class OnlineTuneConfig:
     # fANOVA importance refresh cadence (iterations)
     importance_every: int = 25
 
-    # hot-path acceleration switches.  `use_kernel_cache` reuses the
-    # Matérn candidate block (and its V @ M GEMM) across iterations while
-    # the subspace discretization is unchanged; `prefetch_featurization`
-    # lets the harness overlap ContextFeaturizer.featurize with the
-    # previous interval's execution/observe.  Both preserve the suggested
-    # configurations exactly; they are tunable only so the equivalence
+    # hot-path acceleration switch: `use_kernel_cache` reuses the Matérn
+    # candidate block (and its V @ M GEMM) across iterations while the
+    # subspace discretization is unchanged.  It preserves the suggested
+    # configurations exactly; it is tunable only so the equivalence
     # suite can run the unaccelerated reference path.
     use_kernel_cache: bool = True
-    prefetch_featurization: bool = True
 
     # knowledge-transfer decay half-life: transferred observations count
     # at half their signature-distance weight once this many native

@@ -11,14 +11,12 @@ UCB with epsilon-greedy boundary exploration, and after evaluation
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
 from ..baselines.base import BaseTuner, Feedback, SuggestInput
-from ..workloads.base import WorkloadSnapshot
 from ..gp.kernels import AdditiveKernelFactory
 from ..knobs.knob import Configuration, KnobSpace
 from ..knobs.mysql_knobs import INSTANCE_MEMORY_BYTES, INSTANCE_VCPUS
@@ -99,105 +97,10 @@ class OnlineTune(BaseTuner):
         self._last_improvement: Optional[float] = None
         self.traces: list[IterationTrace] = []
 
-        # overlapped featurization: a single worker thread runs
-        # ContextFeaturizer.featurize for the *next* interval while the
-        # current interval executes/observes (the featurizer is touched by
-        # nothing else, so the result is bit-identical to computing it
-        # inline at the start of suggest)
-        self._prefetch_pool: Optional[ThreadPoolExecutor] = None
-        self._prefetch_future: Optional[Tuple[WorkloadSnapshot, Future]] = None
-        self._prefetch_ready: Optional[Tuple[WorkloadSnapshot, np.ndarray]] = None
-
     # -- lifecycle ---------------------------------------------------------
     def start(self, initial_config: Configuration,
               initial_performance: float) -> None:
         self._initial_vec = self.space.to_unit(initial_config)
-
-    # -- overlapped featurization -------------------------------------------
-    def prefetch_context(self, snapshot: WorkloadSnapshot) -> None:
-        """Featurize ``snapshot`` ahead of its :meth:`suggest` call.
-
-        The harness calls this with the *next* interval's snapshot right
-        after issuing the current suggestion, so featurization runs
-        during the interval's execution window instead of sitting on the
-        suggest critical path.  The next :meth:`suggest` for the same
-        snapshot picks up the precomputed context; any other call order
-        falls back to inline featurization.  No-op when disabled by
-        config.
-
-        The work is done synchronously: with the embedder's per-query
-        memo the steady-state featurize costs tens of microseconds,
-        which is *cheaper* than the worker-thread wake-up latency the
-        old overlapped implementation paid on single-core hosts — and
-        either way the call sits outside the timed suggest/observe
-        path.  (``_settle_prefetch`` and the pool attributes remain for
-        checkpoint compatibility with envelopes that captured an
-        in-flight prefetch.)
-        """
-        if snapshot is None or not self.config.prefetch_featurization:
-            return
-        self._settle_prefetch()
-        self._prefetch_ready = (snapshot, self.featurizer.featurize(snapshot))
-
-    def _settle_prefetch(self) -> None:
-        """Resolve any in-flight prefetch into a plain (snapshot, context)
-        pair.  Waiting (rather than cancelling) keeps the featurizer's
-        warm-up state transitions strictly sequential."""
-        if self._prefetch_future is not None:
-            snapshot, future = self._prefetch_future
-            self._prefetch_future = None
-            self._prefetch_ready = (snapshot, future.result())
-
-    def _context_for(self, snapshot: WorkloadSnapshot) -> np.ndarray:
-        self._settle_prefetch()
-        ready, self._prefetch_ready = self._prefetch_ready, None
-        if ready is not None and self._same_snapshot(ready[0], snapshot):
-            return ready[1]
-        return self.featurizer.featurize(snapshot)
-
-    @staticmethod
-    def _same_snapshot(a: WorkloadSnapshot, b: WorkloadSnapshot) -> bool:
-        if a is b:
-            return True
-        # value fallback: a checkpointed pending prefetch loses object
-        # identity across pickling, but must still be consumed exactly
-        # once (re-featurizing would replay the featurizer's warm-up)
-        try:
-            return a.iteration == b.iteration and a == b
-        except (TypeError, ValueError):
-            return False
-
-    def close(self) -> None:
-        """Release the prefetch worker thread (idempotent).
-
-        Long test sessions build many tuners; the harness calls this when
-        a session finishes so idle featurization threads don't pile up.
-        """
-        self._settle_prefetch()
-        if self._prefetch_pool is not None:
-            self._prefetch_pool.shutdown(wait=True)
-            self._prefetch_pool = None
-
-    def __getstate__(self):
-        """Pickle without the (unpicklable) prefetch machinery.
-
-        A pending prefetch is settled first — the featurizer may already
-        have consumed the snapshot during warm-up, so the computed
-        context rides along as plain state and the resumed tuner's next
-        suggest reuses it instead of re-featurizing.
-        """
-        self._settle_prefetch()
-        state = self.__dict__.copy()
-        state["_prefetch_pool"] = None
-        state["_prefetch_future"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # checkpoints from before the prefetch pipeline lack its fields
-        self.__dict__.setdefault("_prefetch_pool", None)
-        self.__dict__.setdefault("_prefetch_future", None)
-        self.__dict__.setdefault("_prefetch_ready", None)
 
     # -- durability (service layer) -----------------------------------------
     def checkpoint(self, path, metadata: Optional[Dict[str, object]] = None):
@@ -316,7 +219,7 @@ class OnlineTune(BaseTuner):
         overhead: Dict[str, float] = {}
 
         t0 = time.perf_counter()
-        context = self._context_for(inp.snapshot)
+        context = self.featurizer.featurize(inp.snapshot)
         overhead["featurization"] = time.perf_counter() - t0
         self._pending_context = context
 

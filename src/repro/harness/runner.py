@@ -22,7 +22,7 @@ from ..core.config import OnlineTuneConfig
 from ..dbms.engine import SimulatedMySQL
 
 __all__ = ["IterationRecord", "SessionResult", "TuningSession",
-           "SessionProgress", "SessionSpec", "SessionOutcome",
+           "SessionSpec", "SessionOutcome",
            "ParallelRunner", "ShardRun", "shard_specs", "merge_shard_runs",
            "build_session_from_spec", "run_session_spec",
            "run_session_spec_detailed"]
@@ -135,32 +135,8 @@ class SessionResult:
                    is_olap=bool(data.get("is_olap", False)))
 
 
-@dataclass
-class SessionProgress:
-    """Mutable loop state of one session under external stepping.
-
-    :meth:`TuningSession.run` used to hold this on its stack; hoisting it
-    into an object lets a lockstep driver (the cross-tenant batching
-    layer) interleave many sessions interval-by-interval while each
-    session's own statement order — and therefore its trajectory — stays
-    exactly that of a solo :meth:`~TuningSession.run`.
-    """
-
-    snapshot: object
-    last_metrics: Dict[str, float] = field(default_factory=dict)
-    records: List[IterationRecord] = field(default_factory=list)
-    any_olap: bool = False
-
-
 class TuningSession:
-    """Run one tuner against one simulated instance.
-
-    :meth:`run` drives the whole loop; :meth:`begin` / :meth:`step` /
-    :meth:`finish` expose the same loop one interval at a time so a
-    fleet driver can step many sessions in lockstep (and fuse their GP
-    appends between intervals) without changing any single session's
-    arithmetic.
-    """
+    """Run one tuner against one simulated instance."""
 
     def __init__(self, tuner: BaseTuner, db: SimulatedMySQL,
                  n_iterations: int = 100,
@@ -173,66 +149,44 @@ class TuningSession:
         self.unsafe_tolerance = float(unsafe_tolerance)
         self.snapshot_queries = int(snapshot_queries)
         self.record_configs = record_configs
-        self._prefetch = None
-        # drain pending GP appends inside step(), right after observe —
-        # the absorption runs in the interval-execution window instead of
-        # the next suggest's model_for, taking the O(n^2) factor
-        # extension off the suggest critical path.  Staging only covers
-        # rows the lazy path would absorb incrementally (same predicate),
-        # so trajectories are unchanged.  A lockstep driver sets this
-        # False and drains all sessions itself, fused (repro.service
-        # .batching).
-        self.drain_appends = True
 
-    def begin(self) -> SessionProgress:
-        """Start the tuner and return the loop state for :meth:`step`."""
+    def run(self) -> SessionResult:
+        """Per interval: suggest, execute, observe, record."""
         db = self.db
         tuner = self.tuner
         tuner.start(dict(db.reference_config), db.default_performance(0))
-        # overlapped featurization: tuners exposing prefetch_context get
-        # the *next* interval's snapshot right after the current suggest,
-        # so featurization overlaps the interval execution + observe.
-        # Snapshots are a pure function of the iteration (per-iteration
-        # seeded RNGs), so fetching one early is bit-identical; only
-        # run_interval consumes the instance's sequential RNG, and its
-        # call order is unchanged.
-        self._prefetch = getattr(tuner, "prefetch_context", None)
-        return SessionProgress(
-            snapshot=db.observe_snapshot(0, n_queries=self.snapshot_queries))
+        last_metrics: Dict[str, float] = {}
+        records: List[IterationRecord] = []
+        any_olap = False
+        for t in range(self.n_iterations):
+            profile = db.profile(t)
+            any_olap = any_olap or profile.is_olap
+            tau = db.default_performance(t)
+            snapshot = db.observe_snapshot(t, n_queries=self.snapshot_queries)
 
-    def step(self, t: int, progress: SessionProgress) -> IterationRecord:
-        """Run interval ``t``: suggest, execute, observe, record."""
-        db = self.db
-        tuner = self.tuner
-        profile = db.profile(t)
-        progress.any_olap = progress.any_olap or profile.is_olap
-        tau = db.default_performance(t)
+            inp = SuggestInput(iteration=t, snapshot=snapshot,
+                               metrics=last_metrics,
+                               default_performance=tau,
+                               is_olap=profile.is_olap)
+            t0 = time.perf_counter()
+            config = tuner.suggest(inp)
+            suggest_seconds = time.perf_counter() - t0
 
-        inp = SuggestInput(iteration=t, snapshot=progress.snapshot,
-                           metrics=progress.last_metrics,
-                           default_performance=tau,
-                           is_olap=profile.is_olap)
-        t0 = time.perf_counter()
-        config = tuner.suggest(inp)
-        suggest_seconds = time.perf_counter() - t0
+            result = db.run_interval(t, config)
+            perf = result.objective(profile.is_olap)
+            unsafe = result.failed or (
+                perf < tau - self.unsafe_tolerance * abs(tau))
 
-        if t + 1 < self.n_iterations:
-            progress.snapshot = db.observe_snapshot(
-                t + 1, n_queries=self.snapshot_queries)
-            if self._prefetch is not None:
-                self._prefetch(progress.snapshot)
+            tuner.observe(Feedback(
+                iteration=t, config=config, performance=perf,
+                metrics=result.metrics, failed=result.failed,
+                default_performance=tau))
 
-        result = db.run_interval(t, config)
-        perf = result.objective(profile.is_olap)
-        unsafe = result.failed or (
-            perf < tau - self.unsafe_tolerance * abs(tau))
-
-        tuner.observe(Feedback(
-            iteration=t, config=config, performance=perf,
-            metrics=result.metrics, failed=result.failed,
-            default_performance=tau))
-
-        if self.drain_appends:
+            # drain pending GP appends right after observe, so the O(n^2)
+            # factor extension runs in the interval-execution window
+            # instead of the next suggest's model_for.  Staging covers
+            # only rows the lazy path would absorb incrementally (same
+            # predicate), so trajectories are unchanged.
             stage = getattr(tuner, "stage_appends", None)
             if stage is not None:
                 requests = stage()
@@ -244,40 +198,20 @@ class TuningSession:
                     from ..gp.batching import execute_appends
                     execute_appends(requests, fuse=False)
 
-        progress.last_metrics = result.metrics
-        record = IterationRecord(
-            iteration=t,
-            performance=perf,
-            default_performance=tau,
-            throughput=result.throughput,
-            latency_p99=result.latency_p99,
-            exec_seconds=result.exec_seconds,
-            failed=result.failed,
-            unsafe=bool(unsafe),
-            suggest_seconds=suggest_seconds,
-            config=dict(config) if self.record_configs else {},
-        )
-        progress.records.append(record)
-        return record
-
-    def close(self) -> None:
-        """Release tuner resources (the prefetch worker thread)."""
-        close = getattr(self.tuner, "close", None)
-        if close is not None:
-            close()
-
-    def finish(self, progress: SessionProgress) -> SessionResult:
-        return SessionResult(self.tuner.name, progress.records,
-                             is_olap=progress.any_olap)
-
-    def run(self) -> SessionResult:
-        progress = self.begin()
-        try:
-            for t in range(self.n_iterations):
-                self.step(t, progress)
-        finally:
-            self.close()
-        return self.finish(progress)
+            last_metrics = result.metrics
+            records.append(IterationRecord(
+                iteration=t,
+                performance=perf,
+                default_performance=tau,
+                throughput=result.throughput,
+                latency_p99=result.latency_p99,
+                exec_seconds=result.exec_seconds,
+                failed=result.failed,
+                unsafe=bool(unsafe),
+                suggest_seconds=suggest_seconds,
+                config=dict(config) if self.record_configs else {},
+            ))
+        return SessionResult(tuner.name, records, is_olap=any_olap)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ service:
   the service core stays importable in minimal environments.)
 """
 
-from .batching import run_lockstep
 from .checkpoint import (
     CHECKPOINT_VERSION,
     SEGMENT_VERSION,
@@ -99,7 +98,6 @@ __all__ = [
     "Janitor",
     "JanitorReport",
     "merge_batch_shards",
-    "run_lockstep",
     "Lease",
     "LeaseError",
     "LeaseHeldError",

@@ -20,8 +20,9 @@ brand-new tenant from its nearest indexed neighbors.
 SIGINT/SIGTERM.  On startup it prints a machine-readable readiness
 line — ``READY <host> <port> <owner>`` — so harnesses can bind
 ``--port 0`` and parse the ephemeral port.  Shutdown drains every
-queued request, prints the serving stats, and exits non-zero if any
-accepted request went unanswered (the CI smoke job asserts this).
+queued request, releases every tenant lease, prints the serving stats,
+and exits non-zero if any accepted request went unanswered (the CI
+smoke job asserts this).
 """
 
 from __future__ import annotations
@@ -107,8 +108,6 @@ def serve_main(argv=None) -> int:
     parser.add_argument("--retry-after", type=float, default=0.05,
                         help="overload hint (seconds) in RETRY_AFTER "
                              "responses")
-    parser.add_argument("--no-fuse-appends", action="store_true",
-                        help="disable cross-tenant fused GP append drains")
     parser.add_argument("--shard-index", type=int, default=0,
                         help="this frontend's slice of the tenant "
                              "namespace in an N-frontend fleet")
@@ -157,7 +156,7 @@ def serve_main(argv=None) -> int:
                           shard_index=args.shard_index,
                           shard_count=args.shard_count)
 
-    takeover_counters: Dict[str, int] = {}
+    service_counters: Dict[str, int] = {}
 
     async def run() -> Dict[str, int]:
         service = TuningService(args.store_root,
@@ -168,7 +167,6 @@ def serve_main(argv=None) -> int:
                               queue_depth=args.queue_depth,
                               max_inflight=args.max_inflight,
                               retry_after=args.retry_after,
-                              fuse_appends=not args.no_fuse_appends,
                               shard_index=args.shard_index,
                               shard_count=args.shard_count)
         await server.start()
@@ -195,7 +193,8 @@ def serve_main(argv=None) -> int:
         if janitor is not None:
             janitor.stop()
         await server.stop()
-        takeover_counters.update(service.counters)
+        service.shutdown()
+        service_counters.update(service.counters)
         return server.stats()
 
     try:
@@ -211,8 +210,11 @@ def serve_main(argv=None) -> int:
           f"aborted_connections={stats['aborted_connections']} "
           f"rounds={stats['rounds']} max_round={stats['max_round']} "
           f"fused_rows={stats['fused_rows']} "
-          f"takeovers={takeover_counters.get('takeovers', 0)} "
-          f"prehydrate_hits={takeover_counters.get('prehydrate_hits', 0)}",
+          f"takeovers={service_counters['takeovers']} "
+          f"prehydrate_hits={service_counters['prehydrate_hits']} "
+          f"prehydrate_errors={service_counters['prehydrate_errors']} "
+          f"released={service_counters['released']} "
+          f"release_errors={service_counters['release_errors']}",
           flush=True)
     if janitor is not None:
         # the smoke job greps cross_shard=0: N sharded janitors must
@@ -222,7 +224,8 @@ def serve_main(argv=None) -> int:
               f"pruned={janitor.total_pruned} "
               f"out_of_shard_skips={janitor.total_skipped_out_of_shard} "
               f"cross_shard={janitor.total_cross_shard} "
-              f"republished={janitor.total_republished}", flush=True)
+              f"republished={janitor.total_republished} "
+              f"failed_sweeps={janitor.total_failed_sweeps}", flush=True)
     if unaccounted:
         print(f"ERROR: {unaccounted} request(s) dropped without a response",
               file=sys.stderr, flush=True)

@@ -36,6 +36,7 @@ runs it on a background thread until ``stop()``.
 
 from __future__ import annotations
 
+import logging
 import os
 import socket
 import threading
@@ -50,6 +51,8 @@ from .lease import DEFAULT_TTL, LeaseHeldError, LeaseLostError, LeaseManager
 from .store import CheckpointStore
 
 __all__ = ["Janitor", "JanitorReport"]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -122,6 +125,7 @@ class Janitor:
         self.total_skipped_out_of_shard = 0
         self.total_cross_shard = 0
         self.total_republished = 0
+        self.total_failed_sweeps = 0     # sweeps that raised (logged)
 
     # -- one sweep -----------------------------------------------------------
     def run_once(self) -> JanitorReport:
@@ -246,7 +250,8 @@ class Janitor:
                 try:
                     self.run_once()
                 except Exception:  # noqa: BLE001 - sweep must outlive faults
-                    continue
+                    log.exception("janitor sweep failed")
+                    self.total_failed_sweeps += 1
 
         self._thread = threading.Thread(target=loop, name="repro-janitor",
                                         daemon=True)

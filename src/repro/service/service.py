@@ -184,6 +184,9 @@ class TuningService:
             "prehydrated": 0,        # speculative chain loads performed
             "prehydrate_hits": 0,    # takeovers served from the warm cache
             "prehydrate_misses": 0,  # warm cache present but stale
+            "prehydrate_errors": 0,  # speculative chain loads that failed
+            "released": 0,           # tenants let go by shutdown()
+            "release_errors": 0,     # tenants shutdown() failed to let go
         }
 
     # -- bookkeeping -------------------------------------------------------
@@ -330,8 +333,9 @@ class TuningService:
         cache entry is fingerprinted against the chain's on-disk state
         and discarded on any mismatch, so a holder that was merely slow
         (and kept writing) costs a miss, never staleness.  Best-effort
-        throughout: failures here must not mask the LeaseHeldError the
-        caller is about to surface.
+        throughout: a failure is logged and counted in
+        ``counters["prehydrate_errors"]``, and never masks the
+        LeaseHeldError the caller is about to surface.
         """
         if retry_after is None or retry_after > 0.5 * self.leases.ttl:
             return                       # holder heartbeating normally
@@ -343,6 +347,8 @@ class TuningService:
                 return
             tuner, n_records = self._load_chain(tenant_id)
         except Exception:
+            log.exception("prehydrate failed: tenant=%s", tenant_id)
+            self.counters["prehydrate_errors"] += 1
             return
         while len(self._prefetched) >= PREHYDRATE_CAPACITY:
             self._prefetched.popitem(last=False)
@@ -548,13 +554,26 @@ class TuningService:
         self._drop_tenant_hold(tenant_id, session)
         return path
 
+    def shutdown(self) -> None:
+        """Evict every live tenant (persist if dirty, close its segment
+        writer, release its lease, tombstone its directory entry), so a
+        restarted frontend is not refused for the lease TTL.  Failures
+        are logged and counted; the other tenants are still released."""
+        for tenant_id in list(self._live):
+            try:
+                self._evict(tenant_id)
+            except Exception:
+                log.exception("shutdown: releasing tenant=%s failed",
+                              tenant_id)
+                self.counters["release_errors"] += 1
+            else:
+                self.counters["released"] += 1
+
     # -- batched stepping ------------------------------------------------------
     def run_batch(self, specs: Mapping[str, SessionSpec],
                   register_knowledge: bool = True,
                   shard_index: int = 0,
-                  shard_count: int = 1,
-                  lockstep: bool = False,
-                  fuse_appends: bool = True) -> Dict[str, SessionResult]:
+                  shard_count: int = 1) -> Dict[str, SessionResult]:
         """Run one full session per tenant across the process pool.
 
         Each tenant's final tuner state is persisted as its checkpoint
@@ -573,15 +592,6 @@ class TuningService:
         population — bit-identical to an unsharded ``run_batch``,
         because each session is rebuilt from its spec's seeding either
         way.
-
-        ``lockstep=True`` trades the process pool for in-process
-        interval-by-interval stepping of the shard's tenants, draining
-        every tenant's pending GP appends through one fused
-        kernel-evaluation GEMM per step (``fuse_appends=False`` keeps
-        the lockstep order but skips the fusion) — see
-        :func:`repro.service.batching.run_lockstep`.  Persistence,
-        leasing, and knowledge registration are identical in both
-        modes.
         """
         tenant_ids = list(specs)
         for tenant_id in tenant_ids:
@@ -600,18 +610,11 @@ class TuningService:
                     # pre-batch tuner
                     self._drop_tenant_hold(tenant_id, stale)
                 held[tenant_id] = self._acquire_lease(tenant_id)
-            if lockstep:
-                from .batching import run_lockstep
-                outcomes, _ = run_lockstep(
-                    [specs[t] for t in shard_tenants],
-                    fuse_appends=fuse_appends)
-            else:
-                shard = self.runner.run_shard([specs[t] for t in tenant_ids],
-                                              shard_index, shard_count,
-                                              detailed=True)
-                outcomes = shard.outcomes
+            shard = self.runner.run_shard([specs[t] for t in tenant_ids],
+                                          shard_index, shard_count,
+                                          detailed=True)
             results: Dict[str, SessionResult] = {}
-            for tenant_id, outcome in zip(shard_tenants, outcomes):
+            for tenant_id, outcome in zip(shard_tenants, shard.outcomes):
                 results[tenant_id] = outcome.result
                 meta_n = (len(outcome.tuner.repo)
                           if isinstance(outcome.tuner, OnlineTune)
@@ -642,20 +645,18 @@ class TuningService:
     STEP_METHODS = ("create", "suggest", "observe", "checkpoint", "resume",
                     "close", "compact_if_due")
 
-    def step_batch(self, calls: Sequence[StepCall],
-                   fuse_appends: bool = True
+    def step_batch(self, calls: Sequence[StepCall]
                    ) -> Tuple[List[StepOutcome], Dict[str, int]]:
         """Execute one coalesced round of interactive tenant calls.
 
         The wire frontend's per-tenant request queues drain through here:
         each round holds *at most one call per tenant* (the queues
-        preserve per-tenant FIFO order), so a round is one lockstep step
-        of every tenant with pending work — the interactive counterpart
-        of :meth:`run_batch(lockstep=True) <run_batch>`.  Calls execute
-        sequentially under their tenants' leases exactly as the direct
-        API would; afterwards every live tenant that just observed has
-        its pending GP appends drained through one fused cross-tenant
-        kernel GEMM (:func:`repro.gp.batching.execute_appends`), so N
+        preserve per-tenant FIFO order), so a round steps every tenant
+        with pending work by one call.  Calls execute sequentially under
+        their tenants' leases exactly as the direct API would; afterwards
+        every live tenant that just observed has its pending GP appends
+        drained through one fused cross-tenant kernel GEMM
+        (:func:`repro.gp.batching.execute_appends`), so N
         concurrent observe streams cost one stacked kernel evaluation
         per round instead of N lazy per-tenant absorptions.  Staged
         draining is restricted to rows the lazy path would absorb
@@ -689,15 +690,13 @@ class TuningService:
         requests = []
         for tenant_id in observed:
             # drain right after observe, inside the same lease tenure the
-            # observe renewed (mirrors TuningSession.step's solo drain)
+            # observe renewed (mirrors TuningSession.run's solo drain)
             session = self._live.get(tenant_id)
-            stage = (getattr(session.tuner, "stage_appends", None)
-                     if session is not None else None)
-            if stage is not None:
-                requests.extend(stage())
+            if session is not None:
+                requests.extend(session.tuner.stage_appends())
         if requests:
             from ..gp.batching import execute_appends
-            round_stats = execute_appends(requests, fuse=fuse_appends)
+            round_stats = execute_appends(requests)
             for key in stats:
                 stats[key] += round_stats[key]
         return outcomes, stats

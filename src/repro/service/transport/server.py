@@ -109,9 +109,6 @@ class TuningServer:
         queue memory is ``O(max_inflight)``.
     retry_after:
         Overload hint (seconds) carried in ``RETRY_AFTER`` responses.
-    fuse_appends:
-        Forwarded to :meth:`TuningService.step_batch`: fuse concurrent
-        tenants' GP appends into one kernel GEMM per round.
     shard_index / shard_count:
         This frontend's identity in an N-frontend fleet (strided
         ``position % shard_count`` over the tenant namespace, the same
@@ -125,7 +122,6 @@ class TuningServer:
                  port: int = 0, queue_depth: int = DEFAULT_QUEUE_DEPTH,
                  max_inflight: int = DEFAULT_MAX_INFLIGHT,
                  retry_after: float = DEFAULT_RETRY_AFTER,
-                 fuse_appends: bool = True,
                  shard_index: int = 0, shard_count: int = 1) -> None:
         self.service = service
         self.host = host
@@ -133,7 +129,6 @@ class TuningServer:
         self.queue_depth = max(1, int(queue_depth))
         self.max_inflight = max(1, int(max_inflight))
         self.retry_after = float(retry_after)
-        self.fuse_appends = bool(fuse_appends)
         self.shard_index = int(shard_index)
         self.shard_count = max(1, int(shard_count))
         # tenant -> FIFO of _Pending; OrderedDict gives deterministic
@@ -182,7 +177,9 @@ class TuningServer:
             conn.closed = True
             self._close_writer(conn.writer)
         # serving guarantee: nothing was left in a queue unanswered
-        assert self._inflight == 0 and not any(self._queues.values())
+        if self._inflight or any(self._queues.values()):
+            raise RuntimeError(
+                f"drain left {self._inflight} request(s) queued")
 
     def _close_writer(self, writer: asyncio.StreamWriter) -> None:
         """Close one transport, counting (not hiding) teardown failures.
@@ -333,8 +330,7 @@ class TuningServer:
             calls = [pending.call for pending in round_]
             try:
                 outcomes, fuse_stats = await asyncio.to_thread(
-                    self.service.step_batch, calls,
-                    fuse_appends=self.fuse_appends)
+                    self.service.step_batch, calls)
             except BaseException:
                 # step_batch captures per-call errors; reaching here means
                 # the dispatcher itself broke — answer what we took so

@@ -258,6 +258,30 @@ class TestServiceClientDeathFailover:
         assert isinstance(info.value.__cause__, FrontendUnavailableError)
 
 
+class TestPrehydrateFailure:
+    def test_failed_prehydrate_is_counted_and_lease_error_surfaces(
+            self, tmp_path):
+        ttl = 10.0
+        holder = TuningService(tmp_path, owner="fe-A", lease_ttl=ttl,
+                               durability="delta")
+        holder.create("t", SPEC)
+        # the holder stops heartbeating: its lease lapses within ttl/2,
+        # so the bounced frontend warms the chain for a likely takeover
+        lease = holder._live["t"].lease
+        past = time.time() - 0.8 * ttl
+        os.utime(lease.path, (past, past))
+        lease.expires_at = past + ttl
+        holder.store.latest_path("t").write_bytes(b"not a checkpoint")
+
+        bounced = TuningService(tmp_path, owner="fe-B", lease_ttl=ttl,
+                                durability="delta")
+        with pytest.raises(LeaseHeldError) as info:
+            bounced.resume("t")
+        assert info.value.retry_after < 0.5 * ttl
+        assert bounced.counters["prehydrate_errors"] == 1
+        assert bounced.counters["prehydrated"] == 0
+
+
 # ---------------------------------------------------------------------------
 # wire stubs: socket failures surface as the typed error
 # ---------------------------------------------------------------------------

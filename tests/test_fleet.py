@@ -10,6 +10,7 @@ that compacts delta chains off the suggest/observe hot path.
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import pytest
@@ -349,6 +350,31 @@ class TestJanitor:
         assert service.store.chain_length("t") == 0
         assert janitor._thread is None
 
+    def test_failed_sweep_is_counted_and_cadence_survives(self, tmp_path):
+        janitor = Janitor(tmp_path, lease_ttl=5.0, interval=0.01)
+        sweep = janitor.run_once
+        swept = threading.Event()
+        calls = []
+
+        def first_sweep_fails():
+            calls.append(None)
+            if len(calls) == 1:
+                raise OSError("injected sweep fault")
+            report = sweep()
+            swept.set()
+            return report
+
+        janitor.run_once = first_sweep_fails
+        janitor.start()
+        thread = janitor._thread
+        try:
+            assert swept.wait(timeout=10.0)
+        finally:
+            janitor.stop(timeout=5.0)
+        assert not thread.is_alive()
+        assert janitor.total_failed_sweeps >= 1
+        assert janitor.sweeps >= 1
+
 
 class TestJanitorSharding:
     """N-frontend fleets run N janitors; each owns a disjoint slice of
@@ -462,12 +488,17 @@ class TestReviewRegressions:
         the rest of the fleet — not crash run_once."""
         service = TuningService(tmp_path, durability="delta",
                                 snapshot_every=100, compaction="janitor",
-                                lease_ttl=0.3)
+                                lease_ttl=5.0)
         for tenant, seed in (("a", 1), ("b", 2)):
             service.create(tenant, TenantSpec(space="case_study", seed=seed))
             drive_service(service, tenant, build_db(seed), 0, 5)
         service.store.close()               # crash: chains + leases left
-        time.sleep(0.35)                    # dead frontend's TTL passes
+        # the dead frontend's TTL passes: rewind its lease files rather
+        # than sleep, so a suggest slower than the TTL cannot expire a
+        # lease while the tenants are still being driven
+        past = time.time() - 10.0
+        for path in (tmp_path / "leases").glob("*.lease"):
+            os.utime(path, (past, past))
         janitor = Janitor(tmp_path, snapshot_every=4, lease_ttl=0.2)
         thief = LeaseManager(tmp_path / "leases", ttl=5.0, owner="thief")
         original = janitor._compact

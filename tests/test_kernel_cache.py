@@ -1,15 +1,15 @@
 """Equivalence suite for the hot-path acceleration work.
 
-The cross-iteration kernel-block cache, the cached line-region
-discretization, and the overlapped-featurization pipeline are pure
-accelerations: they must never change a single suggested configuration.
-This suite pins that contract three ways:
+The cross-iteration kernel-block cache and the cached line-region
+discretization are pure accelerations: they must never change a single
+suggested configuration.  This suite pins that contract three ways:
 
 * cache-on vs cache-off sessions emit exactly the same configurations,
   checked through the bench-scale history sizes (50/200/500);
-* the pipelined :class:`~repro.harness.TuningSession` loop (prefetch +
-  cache enabled, the shipping defaults) reproduces the recorded golden
-  trajectories from ``tests/golden/`` byte-for-byte;
+* the :class:`~repro.harness.TuningSession` loop (cache enabled and
+  staged GP appends drained after each observe, the shipping defaults)
+  reproduces the recorded golden trajectories from ``tests/golden/``
+  byte-for-byte;
 * the cache's invalidation triggers (re-discretization, hyperparameter
   refit / refactorization, cluster reassignment, checkpoint resume) are
   exercised directly.
@@ -32,13 +32,12 @@ from repro.workloads import TPCCWorkload
 from service_utils import build_db, build_tuner
 
 
-def _session(use_cache: bool, prefetch: bool, n_iterations: int,
+def _session(use_cache: bool, n_iterations: int,
              seed: int = 0) -> TuningSession:
     space = mysql57_space()
     cfg = OnlineTuneConfig(use_clustering=False,
                            max_cluster_size=n_iterations + 1,
-                           use_kernel_cache=use_cache,
-                           prefetch_featurization=prefetch)
+                           use_kernel_cache=use_cache)
     tuner = OnlineTune(space, config=cfg, seed=seed)
     session = build_session(
         tuner, TPCCWorkload(seed=seed, dynamic=False, grow_data=False),
@@ -53,8 +52,8 @@ class TestCacheOnOffEquivalence:
     CHECKPOINTS = (50, 200, 500)
 
     def test_suggest_outputs_match_exactly(self):
-        on = _session(True, True, self.N_ITERS)
-        off = _session(False, False, self.N_ITERS)
+        on = _session(True, self.N_ITERS)
+        off = _session(False, self.N_ITERS)
         result_on = on.run()
         result_off = off.run()
         for h in self.CHECKPOINTS:
@@ -72,9 +71,9 @@ class TestCacheOnOffEquivalence:
 
 
 class TestPipelinedSessionMatchesGolden:
-    """TuningSession's pipelined loop (prefetch + cache, the defaults)
-    must land exactly on the golden fixtures recorded by the plain
-    drive_tuner loop."""
+    """TuningSession's loop (cache on, appends drained after observe,
+    the defaults) must land exactly on the golden fixtures recorded by
+    the plain drive_tuner loop."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_tpcc_golden_trajectory(self, seed, golden_dir, regen_golden):
@@ -93,15 +92,6 @@ class TestPipelinedSessionMatchesGolden:
             assert set(got) == set(want)
             for key, value in want.items():
                 assert got[key] == value, (record.iteration, key)
-
-    def test_prefetch_context_is_used(self):
-        session = _session(True, True, 12)
-        tuner = session.tuner
-        session.run()
-        # after the session the prefetch machinery is drained and closed
-        assert tuner._prefetch_future is None
-        assert tuner._prefetch_ready is None
-        assert tuner._prefetch_pool is None
 
 
 class TestDiscretizationCache:
@@ -236,8 +226,8 @@ class TestResumeEquivalence:
 
     def test_resume_continues_identically(self, tmp_path):
         n, split = 40, 25
-        a = _session(True, True, n, seed=2)
-        b = _session(True, True, n, seed=2)
+        a = _session(True, n, seed=2)
+        b = _session(True, n, seed=2)
         result_b = b.run()
 
         # drive session `a` manually so we can checkpoint mid-way,

@@ -388,7 +388,7 @@ class TestBatchedAppendProperties:
     frontier: whatever batch schedule arrives, ``add_points`` (and the
     contextual ``update`` batch route above it) must land within 1e-8 of
     the k sequential rank-1 appends it replaces.  A counterexample here
-    means fused lockstep serving silently diverges from solo serving,
+    means fused serving rounds silently diverge from solo serving,
     so the tier runs hundreds of schedules.
     """
 

@@ -433,9 +433,9 @@ class SlowService(TuningService):
 
     round_delay = 0.04
 
-    def step_batch(self, calls, fuse_appends=True):
+    def step_batch(self, calls):
         time.sleep(self.round_delay)
-        return super().step_batch(calls, fuse_appends=fuse_appends)
+        return super().step_batch(calls)
 
 
 class TestBackpressure:
@@ -667,6 +667,12 @@ class TestServeCli:
         assert proc.returncode == 0, out
         assert "shutdown clean" in out
         assert "unanswered=0" in out
+        assert "released=1 release_errors=0" in out
+        # the drain let go of the lease: a restarted frontend resumes the
+        # tenant at once instead of being refused for the lease TTL
+        restarted = TuningService(tmp_path / "store", durability="delta")
+        assert "smoke" not in restarted.store.read_owners()
+        assert len(restarted.resume("smoke").repo) == 2
 
     def test_flag_style_invocation_still_reaches_demo(self):
         # back-compat: `repro.service.cli --tenants N` (no subcommand)
