@@ -1,7 +1,7 @@
 """Self-contained ML substrate (no sklearn/torch dependencies)."""
 
 from .dbscan import DBSCAN, assign_noise_to_nearest
-from .fanova import fanova_importance, top_k_important
+from .fanova import fanova_importance
 from .forest import RandomForest, RegressionTree
 from .lstm import LSTMAutoencoder, LSTMCell, QueryEmbedder
 from .mlp import MLP, Adam, Dense
@@ -31,5 +31,4 @@ __all__ = [
     "RegressionTree",
     "RandomForest",
     "fanova_importance",
-    "top_k_important",
 ]

@@ -13,13 +13,11 @@ marginalization over the other dimensions: for knob *j*,
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .forest import RandomForest
 
-__all__ = ["fanova_importance", "top_k_important"]
+__all__ = ["fanova_importance"]
 
 
 def fanova_importance(X: np.ndarray, y: np.ndarray, n_trees: int = 12,
@@ -60,20 +58,18 @@ def fanova_importance(X: np.ndarray, y: np.ndarray, n_trees: int = 12,
 
     importances = np.zeros(d)
     grid_points = np.linspace(0.0, 1.0, grid)
+    # one forest call per knob: block g of the probe is the marginal sample
+    # with knob j pinned to grid point g.  Each block is averaged over trees
+    # on its own, as a call on that block alone would: NumPy sums a
+    # one-column mean over trees pairwise, a wider one in tree order
+    probe = np.tile(base, (grid, 1))
+    marginal_means = np.empty(grid)
     for j in range(d):
-        marginal_means = np.empty(grid)
-        probe = base.copy()
-        for g, value in enumerate(grid_points):
-            probe[:, j] = value
-            marginal_means[g] = float(np.mean(forest.predict(probe)))
+        probe[:, j] = np.repeat(grid_points, n_marginal)
+        per_tree = forest.predict_per_tree(probe)
+        for g in range(grid):
+            block = per_tree[:, g * n_marginal:(g + 1) * n_marginal]
+            marginal_means[g] = float(np.mean(np.mean(block, axis=0)))
         importances[j] = float(np.var(marginal_means)) / total_var
+        probe[:, j] = np.tile(base[:, j], grid)
     return np.clip(importances, 0.0, 1.0)
-
-
-def top_k_important(X: np.ndarray, y: np.ndarray, k: int = 5,
-                    seed: int = 0, importances: Optional[np.ndarray] = None) -> np.ndarray:
-    """Indices of the k most important dimensions (descending)."""
-    if importances is None:
-        importances = fanova_importance(X, y, seed=seed)
-    order = np.argsort(importances)[::-1]
-    return order[:k]

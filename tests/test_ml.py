@@ -25,7 +25,6 @@ from repro.ml import (
     mutual_information,
     normalized_mutual_information,
     tokenize_sql,
-    top_k_important,
 )
 from repro.ml.pca import PCA
 
@@ -357,9 +356,3 @@ class TestForestFanova:
     def test_fanova_too_few_points_zero(self, rng):
         X = rng.random((2, 3))
         assert np.allclose(fanova_importance(X, np.array([0.0, 1.0])), 0.0)
-
-    def test_top_k_order(self, rng):
-        X = rng.random((100, 4))
-        y = 3 * X[:, 1] + 1.0 * X[:, 3]
-        top = top_k_important(X, y, k=2, seed=0)
-        assert top[0] == 1 and top[1] == 3
