@@ -29,7 +29,7 @@ lint:            ## ruff gate (rule set in pyproject.toml); stdlib fallback when
 		$(PYTHON) tools/lint_fallback.py; \
 	fi
 
-service-demo:    ## tuning-as-a-service demo (batch tenants, crash/resume, warm start)
+service-demo:    ## tuning-as-a-service demo (tenants stepped together, crash/resume, warm start)
 	$(PYTHON) examples/service_demo.py
 
 perf-test:       ## perf-marked microbenchmark smoke tests only

@@ -28,16 +28,11 @@ from .reporting import (
 from .runner import (
     IterationRecord,
     ParallelRunner,
-    SessionOutcome,
     SessionResult,
     SessionSpec,
-    ShardRun,
     TuningSession,
     build_session_from_spec,
-    merge_shard_runs,
     run_session_spec,
-    run_session_spec_detailed,
-    shard_specs,
 )
 
 __all__ = [
@@ -45,14 +40,9 @@ __all__ = [
     "SessionResult",
     "IterationRecord",
     "SessionSpec",
-    "SessionOutcome",
     "ParallelRunner",
-    "ShardRun",
-    "shard_specs",
-    "merge_shard_runs",
     "build_session_from_spec",
     "run_session_spec",
-    "run_session_spec_detailed",
     "SafetyStats",
     "StaticStats",
     "safety_stats",

@@ -22,10 +22,8 @@ from ..core.config import OnlineTuneConfig
 from ..dbms.engine import SimulatedMySQL
 
 __all__ = ["IterationRecord", "SessionResult", "TuningSession",
-           "SessionSpec", "SessionOutcome",
-           "ParallelRunner", "ShardRun", "shard_specs", "merge_shard_runs",
-           "build_session_from_spec", "run_session_spec",
-           "run_session_spec_detailed"]
+           "SessionSpec", "ParallelRunner", "build_session_from_spec",
+           "run_session_spec"]
 
 #: relative slack below tau before a recommendation is counted unsafe;
 #: absorbs measurement noise exactly like a production SLA guardband.
@@ -52,24 +50,6 @@ class IterationRecord:
         tau = self.default_performance
         return (self.performance - tau) / max(abs(tau), 1e-9)
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe encoding (floats round-trip exactly via repr)."""
-        return {
-            "iteration": self.iteration,
-            "performance": self.performance,
-            "default_performance": self.default_performance,
-            "throughput": self.throughput,
-            "latency_p99": self.latency_p99,
-            "exec_seconds": self.exec_seconds,
-            "failed": self.failed,
-            "unsafe": self.unsafe,
-            "suggest_seconds": self.suggest_seconds,
-            "config": dict(self.config),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "IterationRecord":
-        return cls(**data)
 
 
 @dataclass
@@ -119,20 +99,6 @@ class SessionResult:
             return 0.0
         return float(np.mean([r.suggest_seconds for r in self.records]))
 
-    # -- serialization (cross-host shard merge) ----------------------------
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "tuner_name": self.tuner_name,
-            "is_olap": self.is_olap,
-            "records": [r.to_dict() for r in self.records],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SessionResult":
-        return cls(tuner_name=data["tuner_name"],
-                   records=[IterationRecord.from_dict(r)
-                            for r in data["records"]],
-                   is_olap=bool(data.get("is_olap", False)))
 
 
 class TuningSession:
@@ -277,28 +243,6 @@ def run_session_spec(spec: SessionSpec) -> SessionResult:
     return build_session_from_spec(spec).run()
 
 
-@dataclass
-class SessionOutcome:
-    """A session's result plus the tuner's final state.
-
-    The service layer's batched stepping uses this to persist each
-    tenant's post-session tuner as a checkpoint: the tuner rides back
-    from the worker process by pickle, exactly the bytes a checkpoint
-    would hold.
-    """
-
-    spec: SessionSpec
-    result: SessionResult
-    tuner: BaseTuner
-
-
-def run_session_spec_detailed(spec: SessionSpec) -> SessionOutcome:
-    """Like :func:`run_session_spec` but also returns the final tuner."""
-    session = build_session_from_spec(spec)
-    result = session.run()
-    return SessionOutcome(spec=spec, result=result, tuner=session.tuner)
-
-
 class ParallelRunner:
     """Fan independent tuning sessions across a process pool.
 
@@ -319,24 +263,13 @@ class ParallelRunner:
             max_workers = int(env) if env else (os.cpu_count() or 1)
         self.max_workers = max(1, int(max_workers))
 
-    def _map(self, fn, specs: List[SessionSpec]) -> List:
+    def run(self, specs: Iterable[SessionSpec]) -> List[SessionResult]:
+        specs = list(specs)
         if self.max_workers == 1 or len(specs) <= 1:
-            return [fn(spec) for spec in specs]
+            return [run_session_spec(spec) for spec in specs]
         workers = min(self.max_workers, len(specs))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, specs))
-
-    def run(self, specs: Iterable[SessionSpec]) -> List[SessionResult]:
-        return self._map(run_session_spec, list(specs))
-
-    def run_detailed(self, specs: Iterable[SessionSpec]) -> List[SessionOutcome]:
-        """Run specs returning results *and* final tuner states.
-
-        Heavier than :meth:`run` (each tuner's full model state is
-        pickled back from its worker); used by the service layer to
-        checkpoint tenants after a batch step.
-        """
-        return self._map(run_session_spec_detailed, list(specs))
+            return list(pool.map(run_session_spec, specs))
 
     def run_named(self, specs: Sequence[SessionSpec]) -> Dict[str, SessionResult]:
         """Run specs and key the results by label (or tuner name when no
@@ -346,116 +279,3 @@ class ParallelRunner:
             raise ValueError("duplicate session names; label the specs or "
                              "use run() instead")
         return dict(zip(names, self.run(specs)))
-
-    def run_shard(self, specs: Sequence[SessionSpec], shard_index: int,
-                  shard_count: int, detailed: bool = False) -> "ShardRun":
-        """Run one deterministic shard of a spec list (multi-host sweeps).
-
-        The partition is strided over the *spec order* — shard ``i`` owns
-        every spec at index ``j`` with ``j % shard_count == i`` — so any
-        host can compute its share from nothing but the shared spec list
-        and its ``--shard-index/--shard-count``, and
-        :func:`merge_shard_runs` can reassemble results in original
-        order.  Each session is still bit-identical to its unsharded
-        run: specs carry all the seeding.
-
-        With ``detailed=True`` the shard also carries each session's
-        final tuner state (``ShardRun.outcomes``) — the service layer's
-        sharded ``run_batch`` persists those as tenant checkpoints.
-        Outcomes hold live tuners and are deliberately *not* part of the
-        JSON round-trip (``to_dict`` ships results only).
-        """
-        specs = list(specs)
-        picked = shard_specs(specs, shard_index, shard_count)
-        if detailed:
-            outcomes = self._map(run_session_spec_detailed,
-                                 [spec for _, spec in picked])
-            results = [outcome.result for outcome in outcomes]
-        else:
-            outcomes = None
-            results = self._map(run_session_spec, [spec for _, spec in picked])
-        return ShardRun(shard_index=shard_index, shard_count=shard_count,
-                        n_specs=len(specs),
-                        indices=[i for i, _ in picked], results=results,
-                        outcomes=outcomes)
-
-
-def shard_specs(specs: Sequence[SessionSpec], shard_index: int,
-                shard_count: int) -> List[tuple]:
-    """Deterministic ``(original_index, spec)`` partition for one shard."""
-    if shard_count < 1:
-        raise ValueError(f"shard_count must be >= 1, got {shard_count}")
-    if not 0 <= shard_index < shard_count:
-        raise ValueError(f"shard_index {shard_index} outside "
-                         f"[0, {shard_count})")
-    return [(i, spec) for i, spec in enumerate(specs)
-            if i % shard_count == shard_index]
-
-
-@dataclass
-class ShardRun:
-    """One shard's results plus everything needed to merge safely."""
-
-    shard_index: int
-    shard_count: int
-    n_specs: int                     # length of the full spec list
-    indices: List[int]               # original spec indices, ascending
-    results: List[SessionResult]     # aligned with ``indices``
-    #: final tuner states (run_shard(detailed=True) only); excluded from
-    #: the JSON round-trip — tuners travel as checkpoints, not shard files
-    outcomes: Optional[List[SessionOutcome]] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "shard_index": self.shard_index,
-            "shard_count": self.shard_count,
-            "n_specs": self.n_specs,
-            "indices": list(self.indices),
-            "results": [r.to_dict() for r in self.results],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ShardRun":
-        return cls(shard_index=int(data["shard_index"]),
-                   shard_count=int(data["shard_count"]),
-                   n_specs=int(data["n_specs"]),
-                   indices=[int(i) for i in data["indices"]],
-                   results=[SessionResult.from_dict(r)
-                            for r in data["results"]])
-
-
-def merge_shard_runs(shards: Iterable[ShardRun]) -> List[SessionResult]:
-    """Reassemble shard outputs into the unsharded result list.
-
-    Validates that the shards come from the same sweep (consistent
-    ``shard_count``/``n_specs``), that no spec index is covered twice,
-    and that together they cover every spec — a partial merge would
-    silently misreport a sweep, so it is an error.
-    """
-    shards = list(shards)
-    if not shards:
-        raise ValueError("no shards to merge")
-    shard_count = shards[0].shard_count
-    n_specs = shards[0].n_specs
-    merged: Dict[int, SessionResult] = {}
-    for shard in shards:
-        if shard.shard_count != shard_count or shard.n_specs != n_specs:
-            raise ValueError(
-                f"shard {shard.shard_index} disagrees on sweep shape "
-                f"({shard.shard_count}/{shard.n_specs} vs "
-                f"{shard_count}/{n_specs})")
-        if len(shard.indices) != len(shard.results):
-            raise ValueError(f"shard {shard.shard_index} is inconsistent: "
-                             f"{len(shard.indices)} indices vs "
-                             f"{len(shard.results)} results")
-        for index, result in zip(shard.indices, shard.results):
-            if index in merged:
-                raise ValueError(f"spec index {index} covered twice")
-            if index % shard_count != shard.shard_index:
-                raise ValueError(f"spec index {index} does not belong to "
-                                 f"shard {shard.shard_index}/{shard_count}")
-            merged[index] = result
-    missing = sorted(set(range(n_specs)) - set(merged))
-    if missing:
-        raise ValueError(f"incomplete merge: missing spec indices {missing}")
-    return [merged[i] for i in range(n_specs)]

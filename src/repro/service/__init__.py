@@ -18,10 +18,10 @@ service:
 * :mod:`~repro.service.service` — :class:`TuningService`: many concurrent
   tenant sessions behind a ``create/suggest/observe/checkpoint/resume/
   close`` API, an LRU of hydrated sessions backed by the store, and
-  batched session stepping on the :class:`~repro.harness.ParallelRunner`
-  — shard-aware, so a fleet of frontends splits a tenant population
-  deterministically (``run_batch(shard_index=, shard_count=)`` +
-  :func:`merge_batch_shards`).
+  coalesced ``step_batch`` rounds (one call per tenant, fused GP
+  appends).  A tenant created with ``TenantSpec(initial_config=...)``
+  starts at its instance's current configuration, as the paper's
+  tuner does.
 * :mod:`~repro.service.client` — :class:`ServiceClient`: a thin SDK that
   turns ``LeaseHeldError`` into a redirect to the holding frontend, with
   jittered backoff and a bounded failover budget.
@@ -65,13 +65,7 @@ from .knowledge import (
     transfer_weight,
 )
 from .lease import Lease, LeaseError, LeaseHeldError, LeaseLostError, LeaseManager
-from .service import (
-    StepCall,
-    StepOutcome,
-    TenantSpec,
-    TuningService,
-    merge_batch_shards,
-)
+from .service import StepCall, StepOutcome, TenantSpec, TuningService
 from .store import CheckpointStore
 
 __all__ = [
@@ -97,7 +91,6 @@ __all__ = [
     "StepOutcome",
     "Janitor",
     "JanitorReport",
-    "merge_batch_shards",
     "Lease",
     "LeaseError",
     "LeaseHeldError",

@@ -1,18 +1,20 @@
 """``repro-service``: the service layer's command-line entry point.
 
-Two subcommands::
+Two subcommands, one of which is required::
 
     PYTHONPATH=src python -m repro.service.cli demo  --tenants 8 --iterations 20
     PYTHONPATH=src python -m repro.service.cli serve --host 127.0.0.1 --port 7411 \
         --store-root /var/lib/repro --max-inflight 1024
 
-``demo`` (the default when no subcommand is given, so existing
-invocations keep working) runs the end-to-end showcase: (1) batch-tunes
-N tenants across the process pool, persisting and indexing every
-session, (2) drives one interactive tenant through the suggest/observe
-API, checkpoints it mid-session, "crashes" it, and proves the resumed
-session emits the identical next suggestion, and (3) warm-starts a
-brand-new tenant from its nearest indexed neighbors.
+``demo`` runs the end-to-end showcase on simulated instances at a DBA
+default configuration; every tenant is created at its instance's
+configuration, where its safety threshold is measured.  It (1) steps N
+tenants together in coalesced ``step_batch`` rounds (per interval, one
+suggest round, then one observe round) and closes each into the
+knowledge base, (2) drives one interactive tenant through the
+suggest/observe API, checkpoints it mid-session, "crashes" it, and
+proves the resumed session emits the identical next suggestion, and
+(3) warm-starts a brand-new tenant from its nearest indexed neighbors.
 
 ``serve`` starts an asyncio wire frontend
 (:class:`~repro.service.transport.server.TuningServer`) over a
@@ -31,30 +33,61 @@ import argparse
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..baselines.base import Feedback, SuggestInput
-from ..harness.runner import SessionSpec
-from .service import TenantSpec, TuningService
+from ..harness.runner import UNSAFE_TOLERANCE
+from .service import StepCall, TenantSpec, TuningService
 
 WORKLOAD_CYCLE = ("tpcc", "twitter", "ycsb", "realworld")
 
 
+def _build_db(seed: int, workload: str = "tpcc"):
+    """A simulated 40-knob instance running the DBA default configuration."""
+    from ..dbms import PerformanceModel, SimulatedMySQL
+    from ..harness.experiments import WORKLOAD_FACTORIES
+    from ..knobs import dba_default_config, mysql57_space
+    space = mysql57_space()
+    return SimulatedMySQL(space, WORKLOAD_FACTORIES[workload](seed=seed),
+                          reference_config=dba_default_config(space),
+                          model=PerformanceModel(noise_std=0.02), seed=seed)
+
+
+def _suggest_input(db, t: int, last_metrics: Dict[str, float]) -> SuggestInput:
+    return SuggestInput(iteration=t, snapshot=db.observe_snapshot(t),
+                        metrics=last_metrics,
+                        default_performance=db.default_performance(t),
+                        is_olap=db.profile(t).is_olap)
+
+
+def _run_interval(db, inp: SuggestInput, config) -> Tuple[Feedback, bool]:
+    """Run one interval on the instance: its feedback, and whether it was
+    unsafe (failed, or more than the harness tolerance below τ)."""
+    result = db.run_interval(inp.iteration, config)
+    perf = result.objective(inp.is_olap)
+    tau = inp.default_performance
+    unsafe = result.failed or perf < tau - UNSAFE_TOLERANCE * abs(tau)
+    return Feedback(iteration=inp.iteration, config=config, performance=perf,
+                    metrics=result.metrics, failed=result.failed,
+                    default_performance=tau), unsafe
+
+
 def _interactive_step(service: TuningService, tenant: str, db, t: int,
-                      last_metrics: Dict[str, float]):
+                      last_metrics: Dict[str, float]) -> Tuple[Feedback, bool]:
     """One suggest/observe interval against a simulated instance."""
-    profile = db.profile(t)
-    snapshot = db.observe_snapshot(t)
-    tau = db.default_performance(t)
-    inp = SuggestInput(iteration=t, snapshot=snapshot, metrics=last_metrics,
-                       default_performance=tau, is_olap=profile.is_olap)
-    config = service.suggest(tenant, inp)
-    result = db.run_interval(t, config)
-    perf = result.objective(profile.is_olap)
-    service.observe(tenant, Feedback(
-        iteration=t, config=config, performance=perf, metrics=result.metrics,
-        failed=result.failed, default_performance=tau))
-    return config, perf, result.metrics
+    inp = _suggest_input(db, t, last_metrics)
+    feedback, unsafe = _run_interval(db, inp, service.suggest(tenant, inp))
+    service.observe(tenant, feedback)
+    return feedback, unsafe
+
+
+def _round(service: TuningService, calls: List[StepCall]) -> list:
+    """One coalesced ``step_batch`` round; the first failed call raises."""
+    outcomes, _ = service.step_batch(calls)
+    for outcome in outcomes:
+        if not outcome.ok:
+            raise outcome.error
+    return [outcome.value for outcome in outcomes]
 
 
 def _fresh_tenant_id(service: TuningService, base: str) -> str:
@@ -67,16 +100,6 @@ def _fresh_tenant_id(service: TuningService, base: str) -> str:
     while f"{base}-{n}" in existing:
         n += 1
     return f"{base}-{n}"
-
-
-def _build_db(seed: int):
-    from ..dbms import PerformanceModel, SimulatedMySQL
-    from ..harness.experiments import WORKLOAD_FACTORIES
-    from ..knobs import dba_default_config, mysql57_space
-    space = mysql57_space()
-    return SimulatedMySQL(space, WORKLOAD_FACTORIES["tpcc"](seed=seed),
-                          reference_config=dba_default_config(space),
-                          model=PerformanceModel(noise_std=0.02), seed=seed)
 
 
 def serve_main(argv=None) -> int:
@@ -124,6 +147,10 @@ def serve_main(argv=None) -> int:
                              "crashed-frontend takeover fast — kill-mode "
                              "benchmarks use ~1-2s")
     args = parser.parse_args(argv)
+    if not 0 <= args.shard_index < args.shard_count:
+        # the janitor would wrap onto another frontend's slice and leave
+        # this one's unswept
+        parser.error("--shard-index must be in [0, --shard-count)")
 
     import asyncio
     import logging
@@ -233,17 +260,19 @@ def serve_main(argv=None) -> int:
     return 0
 
 
-def demo_main(argv=None, root: Optional[Path] = None) -> int:
+def demo_main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-service demo", description=__doc__)
     parser.add_argument("--tenants", type=int, default=8,
-                        help="batch tenants to tune concurrently")
+                        help="tenants stepped together in step 1")
     parser.add_argument("--iterations", type=int, default=20,
-                        help="tuning intervals per batch session")
-    parser.add_argument("--root", type=Path, default=root,
+                        help="tuning intervals per step-1 tenant")
+    parser.add_argument("--root", type=Path, default=None,
                         help="service state directory (default: temp dir)")
-    parser.add_argument("--max-live", type=int, default=4,
-                        help="hydrated-session LRU capacity")
+    parser.add_argument("--max-live", type=int, default=16,
+                        help="hydrated-session LRU capacity; below "
+                             "--tenants, every step-1 round evicts and "
+                             "rehydrates every tenant")
     parser.add_argument("--durability", choices=("snapshot", "delta"),
                         default="delta",
                         help="full snapshots only, or per-interval delta "
@@ -259,30 +288,59 @@ def demo_main(argv=None, root: Optional[Path] = None) -> int:
     print(f"service owner {service.leases.owner} "
           f"(per-tenant leases under {args.root}/leases)")
 
-    # 1. batched stepping: one full session per tenant on the process pool
-    specs = {
-        f"tenant-{i:02d}": SessionSpec(
-            tuner="OnlineTune", workload=WORKLOAD_CYCLE[i % len(WORKLOAD_CYCLE)],
-            seed=i, n_iterations=args.iterations)
-        for i in range(args.tenants)
-    }
-    print(f"[1/3] batch-tuning {len(specs)} tenants "
+    # 1. coalesced stepping: per interval one suggest round, then one
+    #    observe round, the way the wire frontend serves its queues
+    instances = {}
+    for i in range(args.tenants):
+        tenant = _fresh_tenant_id(service, f"tenant-{i:02d}")
+        workload = WORKLOAD_CYCLE[i % len(WORKLOAD_CYCLE)]
+        db = _build_db(seed=i, workload=workload)
+        service.create(tenant, TenantSpec(
+            seed=i, initial_config=db.reference_config))
+        instances[tenant] = (workload, db)
+    print(f"[1/3] stepping {len(instances)} tenants together "
           f"({args.iterations} intervals each) ...")
-    results = service.run_batch(specs)
-    for tenant, result in results.items():
-        print(f"  {tenant}  workload={specs[tenant].workload:<9} "
-              f"cum_improv={result.cumulative_improvement():+10.4g}  "
-              f"#unsafe={result.n_unsafe}  #failure={result.n_failures}")
+    last = {tenant: {} for tenant in instances}
+    cum_improv = dict.fromkeys(instances, 0.0)
+    n_unsafe = dict.fromkeys(instances, 0)
+    n_failed = dict.fromkeys(instances, 0)
+    for t in range(args.iterations):
+        inputs = {tenant: _suggest_input(db, t, last[tenant])
+                  for tenant, (_, db) in instances.items()}
+        configs = _round(service, [StepCall(tenant, "suggest", (inp,))
+                                   for tenant, inp in inputs.items()])
+        observes = []
+        for (tenant, inp), config in zip(inputs.items(), configs):
+            feedback, unsafe = _run_interval(instances[tenant][1], inp,
+                                             config)
+            last[tenant] = feedback.metrics
+            cum_improv[tenant] += (feedback.performance
+                                   - feedback.default_performance)
+            n_unsafe[tenant] += unsafe
+            n_failed[tenant] += feedback.failed
+            observes.append(StepCall(tenant, "observe", (feedback,)))
+        _round(service, observes)
+    for tenant, (workload, _) in instances.items():
+        print(f"  {tenant}  workload={workload:<9} "
+              f"cum_improv={cum_improv[tenant]:+10.4g}  "
+              f"#unsafe={n_unsafe[tenant]}  #failure={n_failed[tenant]}")
+        service.close(tenant, register_knowledge=True)
     print(f"  knowledge base now indexes {len(service.knowledge)} sessions")
 
     # 2. interactive tenant: checkpoint mid-session, crash, resume
     print("[2/3] interactive tenant with mid-session crash/recovery ...")
     tenant = _fresh_tenant_id(service, "interactive")
-    service.create(tenant, TenantSpec(seed=99))
     db = _build_db(seed=99)
-    last: Dict[str, float] = {}
+    service.create(tenant, TenantSpec(seed=99,
+                                      initial_config=db.reference_config))
+    last_metrics: Dict[str, float] = {}
+    unsafe_count = 0
     for t in range(8):
-        _cfg, _perf, last = _interactive_step(service, tenant, db, t, last)
+        feedback, unsafe = _interactive_step(service, tenant, db, t,
+                                             last_metrics)
+        last_metrics = feedback.metrics
+        unsafe_count += unsafe
+    print(f"  8 intervals: #unsafe={unsafe_count}")
     if args.durability == "delta":
         arts = service.store.artifacts(tenant)
         seg_bytes = sum(p.stat().st_size for _, kind, p in arts
@@ -293,24 +351,24 @@ def demo_main(argv=None, root: Optional[Path] = None) -> int:
     ckpt = service.checkpoint(tenant)
     print(f"  checkpointed after 8 intervals -> {ckpt.name} "
           f"({ckpt.stat().st_size / 1024:.0f} KiB)")
-    survivor = service.suggest(tenant, _probe_input(db, 8, last))
+    probe = _suggest_input(db, 8, last_metrics)
+    survivor = service.suggest(tenant, probe)
     service.resume(tenant)                  # discard, rehydrate from disk
-    resumed = service.suggest(tenant, _probe_input(db, 8, last))
+    resumed = service.suggest(tenant, probe)
     match = survivor == resumed
     print(f"  post-resume suggestion identical to uninterrupted: {match}")
 
     # 3. knowledge transfer: warm-start a new tenant from its neighbors
     print("[3/3] warm-starting a new tenant from the knowledge base ...")
-    probe_db = _build_db(seed=123)
+    db = _build_db(seed=123)
     newcomer_id = _fresh_tenant_id(service, "newcomer")
     newcomer = service.create(
-        newcomer_id, TenantSpec(seed=123), warm_start_neighbors=2,
-        probe_snapshot=probe_db.observe_snapshot(0))
+        newcomer_id, TenantSpec(seed=123, initial_config=db.reference_config),
+        warm_start_neighbors=2, probe_snapshot=db.observe_snapshot(0))
     print(f"  newcomer starts with {len(newcomer.repo)} transferred "
           f"observations (vs 0 cold)")
-    db2 = _build_db(seed=123)
-    _cfg, perf, _ = _interactive_step(service, newcomer_id, db2, 0, {})
-    tau = db2.default_performance(0)
+    feedback, _ = _interactive_step(service, newcomer_id, db, 0, {})
+    perf, tau = feedback.performance, feedback.default_performance
     print(f"  first interval: perf={perf:.0f} vs tau={tau:.0f} "
           f"({100 * (perf - tau) / abs(tau):+.1f}%)")
     if ephemeral:
@@ -321,25 +379,20 @@ def demo_main(argv=None, root: Optional[Path] = None) -> int:
     return 0 if match else 1
 
 
-def _probe_input(db, t: int, last_metrics: Dict[str, float]) -> SuggestInput:
-    profile = db.profile(t)
-    return SuggestInput(iteration=t, snapshot=db.observe_snapshot(t),
-                        metrics=last_metrics,
-                        default_performance=db.default_performance(t),
-                        is_olap=profile.is_olap)
-
-
-def main(argv=None, root: Optional[Path] = None) -> int:
-    """Dispatch ``serve``/``demo``; bare flags still mean ``demo`` so
-    pre-subcommand invocations (``--tenants 8``) keep working."""
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    if argv and argv[0] == "serve":
-        return serve_main(argv[1:])
-    if argv and argv[0] == "demo":
-        argv = argv[1:]
-    return demo_main(argv, root=root)
+def main(argv=None) -> int:
+    """Dispatch ``repro-service {serve,demo} [options]``."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    commands = {"serve": serve_main, "demo": demo_main}
+    if argv and argv[0] in commands:
+        return commands[argv[0]](argv[1:])
+    if argv[:1] in (["-h"], ["--help"]):
+        print(__doc__)
+        return 0
+    print("usage: repro-service {serve,demo} [options]\n"
+          "repro-service: error: a subcommand is required "
+          "(serve --help and demo --help list their options)",
+          file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

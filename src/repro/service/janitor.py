@@ -25,10 +25,10 @@ background cadence:
   and without coordination they all probe (and lease-bounce off) the
   same tenants.  A janitor with ``shard_index``/``shard_count`` owns
   only the tenants at ``position % shard_count == shard_index`` in the
-  sorted tenant namespace — the same strided partition ``run_batch``
-  uses — and *skips out-of-shard tenants before any lease probe*, so N
-  janitors sweep N disjoint slices with zero lease round-trips wasted
-  on each other's territory.
+  sorted tenant namespace (``serve --shard-index/--shard-count`` hands
+  each frontend's janitor its stride) and *skips out-of-shard tenants
+  before any lease probe*, so N janitors sweep N disjoint slices with
+  zero lease round-trips wasted on each other's territory.
 
 ``run_once()`` is the deterministic unit the tests drive; ``start()``
 runs it on a background thread until ``stop()``.
@@ -93,8 +93,9 @@ class Janitor:
     shard_index / shard_count:
         This janitor's slice of the tenant namespace: it sweeps only
         tenants at sorted position ``p`` with
-        ``p % shard_count == shard_index`` (the ``run_batch`` strided
-        partition).  Out-of-shard tenants are counted and skipped
+        ``p % shard_count == shard_index``, so k janitors sweep k
+        disjoint slices that together cover the namespace.
+        Out-of-shard tenants are counted and skipped
         *before* any lease probe.  Defaults to one shard = the whole
         namespace (PR 7 behavior).
     """

@@ -173,8 +173,8 @@ class KnowledgeBase:
     @contextmanager
     def _registration_lock(self):
         """Cross-process mutual exclusion for read-modify-write of the
-        index file.  Several fleet frontends (e.g. sharded ``run_batch``
-        runs) share one ``knowledge.json``; without this, each would
+        index file.  Several fleet frontends closing tenants at once
+        share one ``knowledge.json``; without this, each would
         rewrite the whole file from its own in-memory view and silently
         drop the entries other frontends registered in between.  A lock
         file older than ``_LOCK_TIMEOUT`` is treated as a crashed

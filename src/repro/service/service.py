@@ -20,9 +20,14 @@
 * **Elasticity** — only ``max_live_sessions`` tuners stay hydrated; the
   least-recently-used session is transparently persisted and evicted,
   then rehydrated from the store on its next call.
-* **Batched stepping** — :meth:`run_batch` fans whole tenant sessions
-  across the :class:`~repro.harness.ParallelRunner` process pool and
-  persists each returned tuner as that tenant's checkpoint.
+* **Coalesced stepping** — :meth:`step_batch` runs one round of
+  tenant calls (at most one per tenant, as the wire frontend queues
+  them) and drains every observing tenant's GP appends through one
+  fused cross-tenant kernel evaluation.
+* **Starting point** — a tenant created with ``TenantSpec.initial_config``
+  starts exploring from its instance's current configuration, where the
+  safety threshold τ is measured, exactly as the harness's
+  ``TuningSession.run`` starts a session.
 * **Knowledge transfer** — closed sessions are indexed by workload
   signature; new tenants warm-start from their nearest neighbors with
   signature-distance weights that decay as native history accumulates.
@@ -31,6 +36,7 @@
 from __future__ import annotations
 
 import logging
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,20 +45,14 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..baselines.base import Feedback, SuggestInput
 from ..core.config import OnlineTuneConfig
 from ..core.tuner import OnlineTune
-from ..harness.runner import (
-    ParallelRunner,
-    SessionResult,
-    SessionSpec,
-    shard_specs,
-)
+from ..knobs.knob import KnobSpace
 from ..workloads.base import WorkloadSnapshot
 from .checkpoint import CheckpointError
 from .knowledge import KnowledgeBase
 from .lease import DEFAULT_TTL, Lease, LeaseHeldError, LeaseLostError, LeaseManager
 from .store import CheckpointStore
 
-__all__ = ["StepCall", "StepOutcome", "TenantSpec", "TuningService",
-           "merge_batch_shards"]
+__all__ = ["StepCall", "StepOutcome", "TenantSpec", "TuningService"]
 
 log = logging.getLogger(__name__)
 
@@ -68,13 +68,20 @@ JANITOR_BACKSTOP_FACTOR = 8
 
 @dataclass(frozen=True)
 class TenantSpec:
-    """What a tenant provisions: a knob space and tuner configuration."""
+    """What a tenant provisions: a knob space and tuner configuration.
+
+    ``initial_config`` is the instance's current configuration, the one
+    its safety threshold τ is measured at.  The tenant's first
+    suggestion is that configuration, and exploration starts from it.
+    Without it the tenant starts at the knob space's factory defaults.
+    """
 
     space: str = "mysql57"           # key into experiments.SPACE_FACTORIES
     seed: int = 0
     onlinetune_config: Optional[OnlineTuneConfig] = None
     memory_bytes: Optional[int] = None
     vcpus: Optional[int] = None
+    initial_config: Optional[Mapping[str, Any]] = None
 
 
 @dataclass(frozen=True)
@@ -147,13 +154,10 @@ class TuningService:
         grows past ``snapshot_every * JANITOR_BACKSTOP_FACTOR`` records.
     lease_ttl / owner:
         Forwarded to the :class:`LeaseManager` guarding tenant writes.
-    runner:
-        The process-pool runner :meth:`run_batch` fans sessions across.
     """
 
     def __init__(self, root, max_live_sessions: int = 8,
                  checkpoint_every: int = 0,
-                 runner: Optional[ParallelRunner] = None,
                  durability: str = "snapshot",
                  snapshot_every: int = 64,
                  compaction: str = "inline",
@@ -174,7 +178,6 @@ class TuningService:
         self.durability = durability
         self.snapshot_every = max(1, int(snapshot_every))
         self.compaction = compaction
-        self.runner = runner or ParallelRunner()
         self._live: "OrderedDict[str, _LiveSession]" = OrderedDict()
         # takeover-warming: tenant -> (chain fingerprint, tuner, n_records)
         self._prefetched: "OrderedDict[str, Tuple[tuple, OnlineTune, int]]" = (
@@ -396,11 +399,21 @@ class TuningService:
                probe_snapshot: Optional[WorkloadSnapshot] = None) -> OnlineTune:
         """Provision a new tenant session.
 
-        With ``warm_start_neighbors > 0`` and a ``probe_snapshot`` of the
+        With ``spec.initial_config`` the tuner starts at that
+        configuration (``OnlineTune.start``) before the birth snapshot,
+        so the starting point is durable; a configuration naming an
+        unknown knob, or a value its knob would clip, raises
+        ``ValueError`` before anything is written.  With
+        ``warm_start_neighbors > 0`` and a ``probe_snapshot`` of the
         tenant's workload, the knowledge base seeds the fresh repository
         from the nearest indexed sessions before the first suggest.
         """
         self.store.validate_tenant_id(tenant_id)
+        spec = spec or TenantSpec()
+        from ..harness.experiments import SPACE_FACTORIES
+        space = SPACE_FACTORIES[spec.space]()
+        if spec.initial_config is not None:
+            _check_initial_config(space, spec.initial_config)
         # reject before touching the lease: a reentrant acquire for a
         # tenant this frontend already has live would otherwise be
         # released (unlinked) on the error path, orphaning the live
@@ -411,9 +424,6 @@ class TuningService:
         try:
             if self.store.latest_path(tenant_id):   # raced another frontend
                 raise ValueError(f"tenant {tenant_id!r} already exists")
-            spec = spec or TenantSpec()
-            from ..harness.experiments import SPACE_FACTORIES
-            space = SPACE_FACTORIES[spec.space]()
             kwargs = {}
             if spec.memory_bytes is not None:
                 kwargs["memory_bytes"] = spec.memory_bytes
@@ -421,6 +431,9 @@ class TuningService:
                 kwargs["vcpus"] = spec.vcpus
             tuner = OnlineTune(space, config=spec.onlinetune_config,
                                seed=spec.seed, **kwargs)
+            if spec.initial_config is not None:
+                # OnlineTune.start reads only the configuration
+                tuner.start(dict(spec.initial_config), math.nan)
             if warm_start_neighbors > 0 and probe_snapshot is not None:
                 # featurize the probe on a scratch copy so the live
                 # featurizer's warm-up state is untouched (isolation: a
@@ -569,77 +582,6 @@ class TuningService:
             else:
                 self.counters["released"] += 1
 
-    # -- batched stepping ------------------------------------------------------
-    def run_batch(self, specs: Mapping[str, SessionSpec],
-                  register_knowledge: bool = True,
-                  shard_index: int = 0,
-                  shard_count: int = 1) -> Dict[str, SessionResult]:
-        """Run one full session per tenant across the process pool.
-
-        Each tenant's final tuner state is persisted as its checkpoint
-        (and indexed in the knowledge base), so batch tenants are
-        immediately resumable and queryable like interactive ones.
-
-        ``shard_index``/``shard_count`` split the tenant population
-        across a fleet of frontends: shard ``i`` owns every tenant at
-        position ``j`` in the mapping's order with ``j % shard_count ==
-        i`` (the same strided partition as :meth:`ParallelRunner.
-        run_shard`), so each frontend computes its share from nothing
-        but the shared spec mapping and its shard coordinates.  Only the
-        shard's own tenants are leased, stepped, and persisted; the
-        returned dict covers exactly those tenants, and
-        :func:`merge_batch_shards` validates and reassembles the full
-        population — bit-identical to an unsharded ``run_batch``,
-        because each session is rebuilt from its spec's seeding either
-        way.
-        """
-        tenant_ids = list(specs)
-        for tenant_id in tenant_ids:
-            self.store.validate_tenant_id(tenant_id)
-        # validates shard coordinates and fixes the strided partition
-        picked = shard_specs(tenant_ids, shard_index, shard_count)
-        shard_tenants = [tenant_id for _, tenant_id in picked]
-        held: Dict[str, Lease] = {}
-        try:
-            for tenant_id in shard_tenants:
-                stale = self._live.pop(tenant_id, None)
-                if stale is not None:
-                    # drop any stale hydrated session: the batch-trained
-                    # state is about to become the tenant's truth and must
-                    # not be shadowed (or later re-checkpointed over) by a
-                    # pre-batch tuner
-                    self._drop_tenant_hold(tenant_id, stale)
-                held[tenant_id] = self._acquire_lease(tenant_id)
-            shard = self.runner.run_shard([specs[t] for t in tenant_ids],
-                                          shard_index, shard_count,
-                                          detailed=True)
-            results: Dict[str, SessionResult] = {}
-            for tenant_id, outcome in zip(shard_tenants, shard.outcomes):
-                results[tenant_id] = outcome.result
-                meta_n = (len(outcome.tuner.repo)
-                          if isinstance(outcome.tuner, OnlineTune)
-                          else outcome.spec.n_iterations)
-                path = self.store.save(
-                    tenant_id, outcome.tuner,
-                    metadata={"tuner_class": type(outcome.tuner).__name__,
-                              "n_observations": meta_n,
-                              "spec": {"tuner": outcome.spec.tuner,
-                                       "workload": outcome.spec.workload,
-                                       "seed": outcome.spec.seed,
-                                       "n_iterations": outcome.spec.n_iterations}},
-                    fence=held[tenant_id].token)
-                if register_knowledge and isinstance(outcome.tuner, OnlineTune):
-                    self.knowledge.register(tenant_id, outcome.tuner, path)
-            return results
-        finally:
-            for lease in held.values():
-                try:
-                    self.leases.release(lease)
-                except LeaseLostError:
-                    pass   # taken over: the new owner publishes itself
-                else:
-                    self._publish_owner(lease.tenant, None)
-
     # -- coalesced interactive stepping ---------------------------------------
     #: methods a StepCall may invoke — the tenant API surface, nothing else
     STEP_METHODS = ("create", "suggest", "observe", "checkpoint", "resume",
@@ -702,27 +644,21 @@ class TuningService:
         return outcomes, stats
 
 
-def merge_batch_shards(tenant_ids: List[str],
-                       shards: List[Dict[str, SessionResult]]
-                       ) -> Dict[str, SessionResult]:
-    """Reassemble per-shard :meth:`TuningService.run_batch` results.
-
-    Validates that no tenant is covered twice and that together the
-    shards cover the whole population — a silent partial merge would
-    misreport a fleet sweep.  Returns the merged results keyed in
-    ``tenant_ids`` order, exactly what an unsharded ``run_batch`` over
-    the same specs returns.
-    """
-    known = set(tenant_ids)
-    merged: Dict[str, SessionResult] = {}
-    for shard in shards:
-        for tenant_id, result in shard.items():
-            if tenant_id not in known:
-                raise ValueError(f"shard reports unknown tenant {tenant_id!r}")
-            if tenant_id in merged:
-                raise ValueError(f"tenant {tenant_id!r} covered twice")
-            merged[tenant_id] = result
-    missing = [t for t in tenant_ids if t not in merged]
-    if missing:
-        raise ValueError(f"incomplete merge: missing tenants {missing}")
-    return {t: merged[t] for t in tenant_ids}
+def _check_initial_config(space: KnobSpace,
+                          config: Mapping[str, Any]) -> None:
+    """Reject a starting configuration the knob space would alter: a
+    knob it does not have, or a value its knob would clip."""
+    if not isinstance(config, Mapping):
+        raise ValueError(f"initial_config must map knob names to values, "
+                         f"not {type(config).__name__}")
+    unknown = sorted(str(name) for name in config if name not in space)
+    if unknown:
+        raise ValueError(f"initial_config names unknown knobs: {unknown}")
+    for name, value in config.items():
+        try:
+            legal = space[name].clip(value) == value
+        except (TypeError, ValueError, OverflowError):
+            legal = False
+        if not legal:
+            raise ValueError(f"initial_config value {value!r} is not a "
+                             f"legal setting of knob {name!r}")

@@ -64,6 +64,9 @@ def _encode_create_payload(spec: Optional[TenantSpec],
         payload["spec"] = {"space": spec.space, "seed": spec.seed,
                           "memory_bytes": spec.memory_bytes,
                           "vcpus": spec.vcpus}
+        if spec.initial_config is not None:
+            payload["spec"]["initial_config"] = protocol.plain(
+                spec.initial_config)
     if warm_start_neighbors:
         payload["warm_start_neighbors"] = int(warm_start_neighbors)
     if probe_snapshot is not None:

@@ -46,9 +46,12 @@ op             payload                                result (on ``"ok"``)
                                                       wrong entry degrades to one
                                                       ``lease_held`` redirect, never an error
 ``create``     ``{"spec": {"space", "seed",           ``{"created": true, "n_observations"}``
-               "memory_bytes", "vcpus"}?,
-               "warm_start_neighbors"?,
-               "probe_snapshot"?}``
+               "memory_bytes", "vcpus",               — ``spec.initial_config`` (knob name →
+               "initial_config"?}?,                   value) is the instance's current
+               "warm_start_neighbors"?,               configuration, where the tenant starts;
+               "probe_snapshot"?}``                   an unknown knob or a value the knob
+                                                      would clip is an ``"error"`` naming
+                                                      ``ValueError``
 ``suggest``    ``{"input": <SuggestInput>}``          ``{"config": <Configuration>}``
 ``observe``    ``{"feedback": <Feedback>}``           ``null``
 ``checkpoint`` ``{}``                                 ``{"path": <str>}``

@@ -111,8 +111,9 @@ class TuningServer:
         Overload hint (seconds) carried in ``RETRY_AFTER`` responses.
     shard_index / shard_count:
         This frontend's identity in an N-frontend fleet (strided
-        ``position % shard_count`` over the tenant namespace, the same
-        partition ``run_batch`` and the sharded janitor use).  Reported
+        ``position % shard_count`` over the sorted tenant namespace, the
+        partition its sharded janitor sweeps); ``ValueError`` unless
+        ``0 <= shard_index < shard_count``.  Reported
         in ``status`` so operators and harnesses can see the topology;
         the serving path itself never rejects out-of-shard tenants —
         leases, not shards, own exclusion.
@@ -129,8 +130,11 @@ class TuningServer:
         self.queue_depth = max(1, int(queue_depth))
         self.max_inflight = max(1, int(max_inflight))
         self.retry_after = float(retry_after)
+        if not 0 <= int(shard_index) < int(shard_count):
+            raise ValueError(f"shard_index must be in [0, shard_count), "
+                             f"got {shard_index} of {shard_count}")
         self.shard_index = int(shard_index)
-        self.shard_count = max(1, int(shard_count))
+        self.shard_count = int(shard_count)
         # tenant -> FIFO of _Pending; OrderedDict gives deterministic
         # round-robin order across tenants
         self._queues: "OrderedDict[str, Deque[_Pending]]" = OrderedDict()
@@ -393,7 +397,8 @@ def _decode_create_kwargs(payload: Dict[str, Any]) -> Dict[str, Any]:
             space=spec_obj.get("space", "mysql57"),
             seed=int(spec_obj.get("seed", 0)),
             memory_bytes=spec_obj.get("memory_bytes"),
-            vcpus=spec_obj.get("vcpus"))
+            vcpus=spec_obj.get("vcpus"),
+            initial_config=spec_obj.get("initial_config"))
     if payload.get("warm_start_neighbors"):
         kwargs["warm_start_neighbors"] = int(payload["warm_start_neighbors"])
     if payload.get("probe_snapshot") is not None:

@@ -13,7 +13,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.baselines.base import Feedback, SuggestInput
 from repro.core import OnlineTune
 from repro.dbms import PerformanceModel, SimulatedMySQL
-from repro.knobs import case_study_space
+from repro.knobs import case_study_space, dba_default_config
+from repro.service import StepCall
+from repro.service.cli import _round, _run_interval, _suggest_input
 from repro.workloads import TPCCWorkload
 
 
@@ -30,6 +32,17 @@ def build_db(seed: int, workload=None) -> SimulatedMySQL:
     space = case_study_space()
     return SimulatedMySQL(space, workload or TPCCWorkload(seed=seed),
                           model=PerformanceModel(noise_std=0.0), seed=seed)
+
+
+def build_reference_db(seed: int) -> SimulatedMySQL:
+    """Seeded TPC-C instance running the DBA default configuration (not
+    the knob space's factory defaults), with the harness's 2 % measurement
+    noise.  A served tenant starts here with
+    ``TenantSpec(initial_config=db.reference_config)``."""
+    space = case_study_space()
+    return SimulatedMySQL(space, TPCCWorkload(seed=seed),
+                          reference_config=dba_default_config(space),
+                          model=PerformanceModel(noise_std=0.02), seed=seed)
 
 
 def build_tuner(seed: int) -> OnlineTune:
@@ -87,3 +100,26 @@ def drive_service(service, tenant: str, db, start: int, stop: int,
     return drive(lambda inp: service.suggest(tenant, inp),
                  lambda fb: service.observe(tenant, fb),
                  db, start, stop, metrics_history)
+
+
+def step_together(service, instances: Dict[str, SimulatedMySQL],
+                  n_intervals: int) -> Dict[str, List[tuple]]:
+    """Step created tenants through intervals ``[0, n_intervals)`` as the
+    ``demo`` command does: per interval one ``step_batch`` round of
+    suggests, then one of observes.  Returns each tenant's
+    ``(config, performance)`` per interval."""
+    last: Dict[str, Dict[str, float]] = {tenant: {} for tenant in instances}
+    trace: Dict[str, List[tuple]] = {tenant: [] for tenant in instances}
+    for t in range(n_intervals):
+        inputs = {tenant: _suggest_input(db, t, last[tenant])
+                  for tenant, db in instances.items()}
+        configs = _round(service, [StepCall(tenant, "suggest", (inp,))
+                                   for tenant, inp in inputs.items()])
+        observes = []
+        for (tenant, inp), config in zip(inputs.items(), configs):
+            feedback, _ = _run_interval(instances[tenant], inp, config)
+            observes.append(StepCall(tenant, "observe", (feedback,)))
+            last[tenant] = feedback.metrics
+            trace[tenant].append((config, feedback.performance))
+        _round(service, observes)
+    return trace

@@ -1,4 +1,4 @@
-"""Determinism-tier Hypothesis sweeps: replay, fencing, shard-merge.
+"""Determinism-tier Hypothesis sweeps: replay, fencing, janitor shards.
 
 These are the store/partition invariants the fleet's correctness story
 rests on, swept at the :data:`~strategies.DETERMINISM_SETTINGS` tier
@@ -11,10 +11,11 @@ divergent tuning state:
 * **Fencing** — the store admits a writer's token iff it is not older
   than any token already admitted; a zombie's append is rejected the
   moment a successor has written with a newer token.
-* **Shard-merge** — the strided partition is disjoint and complete for
-  any namespace and shard count, the janitor's assignment rule is the
-  same partition ``run_batch`` uses, and splitting a batch result by
-  stride always merges back to the original.
+* **Janitor shards** — for any namespace and shard count, the tenants
+  each shard's janitor prunes or re-points are exactly its stride of
+  the sorted namespace, the k slices are disjoint and cover every
+  tenant, and the k sharded sweeps leave a store exactly as one
+  unsharded sweep does.
 
 Each example builds its own throwaway store root (cheap: a few small
 files), so the sweeps stay fast enough for tier-1.
@@ -22,17 +23,21 @@ files), so the sweeps stay fast enough for tier-1.
 
 from __future__ import annotations
 
+import itertools
 import tempfile
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.harness.runner import shard_specs
-from repro.service import CheckpointStore, Janitor, merge_batch_shards
+from repro.service import CheckpointStore, Janitor
 from repro.service.checkpoint import StaleFenceError
 
-from strategies import DETERMINISM_SETTINGS
+from strategies import DETERMINISM_SETTINGS, STANDARD_SETTINGS
+
+# the janitor sweeps that write restore points cost ~10-20 ms an
+# example, so they run at the standard tier's 100 examples
+JANITOR_STORE_SETTINGS = STANDARD_SETTINGS
 
 # small, picklable, equality-stable record payloads (no NaN: replay
 # equality is ==, and NaN payloads would need bit-level comparison)
@@ -136,56 +141,100 @@ class TestFencingSweep:
             successor.close()
 
 
+def _two_restore_points(root: str, names) -> CheckpointStore:
+    """A store where every tenant keeps one snapshot too many for
+    ``prune_keep=1``, so each janitor prunes every tenant it sweeps."""
+    store = CheckpointStore(root)
+    for name in names:
+        for position in range(2):
+            store.save(name, {"base": position},
+                       metadata={"n_observations": position})
+    return store
+
+
 class TestShardMergeSweep:
-    @given(n_items=st.integers(min_value=1, max_value=40),
+    """k janitors, one per frontend of a k-frontend fleet, split the
+    sorted tenant namespace by stride: shard i sweeps ``tenants[i::k]``."""
+
+    @given(names=_tenant_names,
            shard_count=st.integers(min_value=1, max_value=8))
-    @DETERMINISM_SETTINGS
-    def test_strided_partition_disjoint_and_complete(self, n_items,
+    @JANITOR_STORE_SETTINGS
+    def test_strided_partition_disjoint_and_complete(self, names,
                                                      shard_count):
-        items = list(range(n_items))
-        covered = []
-        for index in range(shard_count):
-            shard = [i for i, _ in shard_specs(items, index, shard_count)]
-            assert shard == items[index::shard_count]
-            covered.extend(shard)
-        assert sorted(covered) == items
+        """Pruning pass: shard i prunes exactly ``tenants[i::k]``, and
+        the k slices are disjoint and cover the namespace."""
+        with tempfile.TemporaryDirectory() as root:
+            tenants = _two_restore_points(root, names).tenants()
+            covered = []
+            for index in range(shard_count):
+                report = Janitor(root, prune_keep=1, shard_index=index,
+                                 shard_count=shard_count).run_once()
+                assert sorted(report.pruned) == tenants[index::shard_count]
+                assert set(report.pruned.values()) <= {1}
+                covered.extend(report.pruned)
+            assert sorted(covered) == tenants
 
     @given(names=_tenant_names,
            shard_count=st.integers(min_value=1, max_value=5))
     @DETERMINISM_SETTINGS
     def test_janitor_assignment_is_the_run_batch_partition(self, names,
                                                            shard_count):
-        """The janitors' slices are disjoint, cover the namespace, and
-        equal the ``shard_specs`` stride over the same sorted tenants —
-        one partition convention across run_batch, serve, and janitor."""
+        """Directory pass: every tenant carries a dead frontend's hint,
+        so each janitor tombstones every tenant in its slice.  Shard i's
+        ``republished`` keys are exactly ``tenants[i::k]``, it skips the
+        rest before any lease probe, and the k slices are disjoint and
+        cover the namespace."""
         with tempfile.TemporaryDirectory() as root:
             store = CheckpointStore(root)
             for name in names:
                 store.tenant_dir(name).mkdir(parents=True)
+                store.publish_owner(name, "dead-frontend")
             tenants = store.tenants()
-            seen = []
+            slices = []
             for index in range(shard_count):
-                janitor = Janitor(root, shard_index=index,
-                                  shard_count=shard_count)
-                report = janitor.run_once()
-                assigned = tenants[index::shard_count]
+                report = Janitor(root, shard_index=index,
+                                 shard_count=shard_count).run_once()
+                acted_on = set(report.republished)
+                assert acted_on == set(tenants[index::shard_count])
+                assert set(report.republished.values()) <= {None}
                 assert report.skipped_out_of_shard == (len(tenants)
-                                                      - len(assigned))
-                expected = [tenants[i] for i, _ in
-                            shard_specs(tenants, index, shard_count)]
-                assert assigned == expected
-                seen.extend(assigned)
-            assert sorted(seen) == tenants
+                                                      - len(acted_on))
+                slices.append(acted_on)
+            for a, b in itertools.combinations(slices, 2):
+                assert not a & b
+            assert set().union(*slices) == set(tenants)
 
     @given(names=_tenant_names,
-           shard_count=st.integers(min_value=1, max_value=5))
-    @DETERMINISM_SETTINGS
-    def test_batch_shards_merge_back_exactly(self, names, shard_count):
-        tenants = sorted(names)
-        results = {tenant: object() for tenant in tenants}
-        shards = [{tenant: results[tenant]
-                   for tenant in tenants[index::shard_count]}
-                  for index in range(shard_count)]
-        merged = merge_batch_shards(tenants, shards)
-        assert list(merged) == tenants
-        assert all(merged[t] is results[t] for t in tenants)
+           shard_count=st.integers(min_value=1, max_value=5),
+           data=st.data())
+    @JANITOR_STORE_SETTINGS
+    def test_batch_shards_merge_back_exactly(self, names, shard_count,
+                                             data):
+        """On two identical stores, k sharded janitors together do
+        exactly what one unsharded janitor does: their reports merge
+        back to its report, and both stores end in the same state."""
+        hinted = data.draw(st.sets(st.sampled_from(sorted(names))))
+        with tempfile.TemporaryDirectory() as whole, \
+                tempfile.TemporaryDirectory() as split:
+            stores = []
+            for root in (whole, split):
+                store = _two_restore_points(root, names)
+                for name in hinted:
+                    store.publish_owner(name, "dead-frontend")
+                stores.append(store)
+            base = Janitor(whole, prune_keep=1).run_once()
+            pruned, republished, skipped = {}, {}, 0
+            for index in range(shard_count):
+                report = Janitor(split, prune_keep=1, shard_index=index,
+                                 shard_count=shard_count).run_once()
+                assert not pruned.keys() & report.pruned.keys()
+                pruned.update(report.pruned)
+                republished.update(report.republished)
+                skipped += report.skipped_out_of_shard
+            assert pruned == base.pruned
+            assert republished == base.republished == dict.fromkeys(hinted)
+            assert skipped == (shard_count - 1) * len(names)
+            assert stores[0].read_owners() == stores[1].read_owners()
+            for name in names:
+                assert ([path.name for path in stores[0].list(name)]
+                        == [path.name for path in stores[1].list(name)])

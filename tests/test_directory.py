@@ -34,7 +34,13 @@ from repro.service.store import (
 )
 from repro.service.transport import AsyncServiceClient, RemoteFrontend
 
-from service_utils import build_db, drive_service, step
+from service_utils import (
+    build_db,
+    build_reference_db,
+    drive_service,
+    step,
+    step_together,
+)
 from test_transport import SPEC, ServerThread
 
 
@@ -126,14 +132,19 @@ class TestServicePublishes:
         assert service.directory() == {}
 
     def test_run_batch_publishes_then_tombstones(self, tmp_path):
-        from repro.harness.runner import SessionSpec
+        """Tenants stepped together through ``step_batch`` stay
+        published under this frontend for the whole batch; closing them
+        tombstones every entry."""
         service = TuningService(tmp_path, owner="fe-A")
-        specs = {"t0": SessionSpec(tuner="OnlineTune", workload="tpcc",
-                                   seed=0, n_iterations=2,
-                                   space="case_study")}
-        service.run_batch(specs)
-        # leases were held (and published) during the batch, released
-        # (and tombstoned) after it
+        instances = {f"t{seed}": build_reference_db(seed) for seed in (0, 1)}
+        for seed, (tenant, db) in enumerate(instances.items()):
+            service.create(tenant, TenantSpec(
+                space="case_study", seed=seed,
+                initial_config=db.reference_config))
+        step_together(service, instances, 2)
+        assert service.directory() == {"t0": "fe-A", "t1": "fe-A"}
+        for tenant in instances:
+            service.close(tenant, register_knowledge=False)
         assert service.directory() == {}
 
     def test_takeover_entry_not_clobbered_by_stale_release(self, tmp_path):

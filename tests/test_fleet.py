@@ -1,21 +1,23 @@
 """Fleet-scale serving tests.
 
-Covers the three fleet pieces as one story: a tenant population split
-across frontends with shard-aware ``run_batch`` (union of shards must
-equal the unsharded batch), a client SDK that follows lease ownership
-across the fleet instead of erroring out, and the idle-time janitor
-that compacts delta chains off the suggest/observe hot path.
+Covers the fleet pieces as one story: a tenant population split across
+frontends by stride, each frontend stepping its slice together through
+``step_batch`` (the union of the slices must equal one unsharded
+frontend's run), a client SDK that follows lease ownership across the
+fleet instead of erroring out, and the idle-time janitor that compacts
+delta chains off the suggest/observe hot path, sharded so N frontends'
+janitors sweep disjoint slices of one store.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
 
 import pytest
 
-from repro.harness.runner import ParallelRunner, SessionSpec
 from repro.service import (
     FailoverExhaustedError,
     Janitor,
@@ -24,87 +26,78 @@ from repro.service import (
     ServiceClient,
     TenantSpec,
     TuningService,
-    merge_batch_shards,
 )
 from repro.service.service import JANITOR_BACKSTOP_FACTOR
 
-from service_utils import build_db, build_tuner, drive_service, drive_tuner, step
+from service_utils import (
+    build_db,
+    build_reference_db,
+    build_tuner,
+    drive_service,
+    drive_tuner,
+    step,
+    step_together,
+)
 
 N_TENANTS = 5
+ITERS = 4
 
 
-def _specs(n_iterations: int = 4):
-    return {f"t{i}": SessionSpec(tuner="OnlineTune", workload="tpcc", seed=i,
-                                 n_iterations=n_iterations,
-                                 space="case_study")
-            for i in range(N_TENANTS)}
-
-
-def _canon(result) -> dict:
-    """Deterministic encoding of a SessionResult: everything except the
-    wall-clock suggest timing, which can never be bit-stable."""
-    data = result.to_dict()
-    for record in data["records"]:
-        record["suggest_seconds"] = 0.0
-    return data
+def _serve_slice(frontend: TuningService, tenants) -> dict:
+    """Create each tenant ``t<seed>`` at its seeded instance's
+    configuration, step the slice together for ``ITERS`` intervals and
+    close it; returns each tenant's ``(config, performance)`` trace."""
+    instances = {tenant: build_reference_db(int(tenant[1:]))
+                 for tenant in tenants}
+    for tenant, db in instances.items():
+        frontend.create(tenant, TenantSpec(
+            space="case_study", seed=int(tenant[1:]),
+            initial_config=db.reference_config))
+    trace = step_together(frontend, instances, ITERS)
+    for tenant in tenants:
+        frontend.close(tenant, register_knowledge=False)
+    return trace
 
 
 class TestShardedRunBatch:
+    """Frontend i of k serves ``tenants[i::k]``, the slice ``serve
+    --shard-index i --shard-count k`` hands its janitor."""
+
     @pytest.mark.parametrize("shard_count", [1, 2, 3, 4])
     def test_union_of_shards_equals_unsharded(self, tmp_path, shard_count):
-        specs = _specs()
-        runner = ParallelRunner(max_workers=2)
-        base = TuningService(tmp_path / "unsharded",
-                             runner=runner).run_batch(specs)
-        shards = []
-        frontends = []
+        tenants = [f"t{i}" for i in range(N_TENANTS)]
+        base = _serve_slice(TuningService(tmp_path / "unsharded"), tenants)
+        merged = {}
         for index in range(shard_count):
-            frontend = TuningService(tmp_path / f"shard{index}", runner=runner)
-            frontends.append(frontend)
-            shards.append(frontend.run_batch(specs, shard_index=index,
-                                             shard_count=shard_count))
-        # strided ownership: shard i serves tenants at positions i, i+n, ...
-        tenant_ids = list(specs)
-        for index, shard in enumerate(shards):
-            assert list(shard) == tenant_ids[index::shard_count]
-        merged = merge_batch_shards(tenant_ids, shards)
-        assert list(merged) == tenant_ids
-        for tenant in specs:
-            assert _canon(merged[tenant]) == _canon(base[tenant])
-        # each frontend persisted (and owns checkpoints for) exactly its
-        # own shard — the others' namespaces don't exist on it
-        for index, frontend in enumerate(frontends):
-            assert frontend.store.tenants() == sorted(
-                tenant_ids[index::shard_count])
+            frontend = TuningService(tmp_path / f"shard{index}")
+            shard = tenants[index::shard_count]
+            merged.update(_serve_slice(frontend, shard))
+            # each frontend persisted exactly its own slice
+            assert frontend.store.tenants() == sorted(shard)
+        # fused rounds over any slice step each tenant bit-identically
+        assert json.dumps(merged, sort_keys=True) == \
+            json.dumps(base, sort_keys=True)
 
     def test_sharded_checkpoints_are_resumable(self, tmp_path):
-        specs = _specs()
-        frontend = TuningService(tmp_path, runner=ParallelRunner(max_workers=1))
-        results = frontend.run_batch(specs, shard_index=1, shard_count=2)
-        for tenant in results:
-            payload, meta = frontend.store.load_latest(tenant)
+        shard = [f"t{i}" for i in range(N_TENANTS)][1::2]
+        _serve_slice(TuningService(tmp_path), shard)
+        other = TuningService(tmp_path)
+        for tenant in shard:
+            payload, meta = other.store.load_latest(tenant)
             assert meta["tuner_class"] == payload.__class__.__name__
-            assert meta["n_observations"] == specs[tenant].n_iterations
+            assert meta["n_observations"] == ITERS
+            assert len(other.resume(tenant).repo) == ITERS
 
-    def test_merge_rejects_overlap(self):
-        tenants = ["a", "b"]
-        result = object()
-        with pytest.raises(ValueError, match="covered twice"):
-            merge_batch_shards(tenants, [{"a": result}, {"a": result,
-                                                         "b": result}])
-
-    def test_merge_rejects_missing(self):
-        with pytest.raises(ValueError, match="missing tenants"):
-            merge_batch_shards(["a", "b"], [{"a": object()}])
-
-    def test_merge_rejects_unknown_tenant(self):
-        with pytest.raises(ValueError, match="unknown tenant"):
-            merge_batch_shards(["a"], [{"a": object(), "z": object()}])
-
-    def test_bad_shard_coordinates_rejected(self, tmp_path):
-        service = TuningService(tmp_path)
-        with pytest.raises(ValueError, match="shard_index"):
-            service.run_batch(_specs(), shard_index=2, shard_count=2)
+    def test_bad_shard_coordinates_rejected(self, capsys):
+        """``serve`` refuses a shard index outside ``[0, shard-count)``
+        before it starts: its janitor would wrap onto another
+        frontend's slice and leave this one unswept."""
+        from repro.service import cli
+        with pytest.raises(SystemExit) as info:
+            cli.main(["serve", "--shard-index", "2", "--shard-count", "2"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--shard-index must be in [0, --shard-count)" in err
 
 
 class TestClientFailover:

@@ -3,11 +3,16 @@
 Covers the envelope format (corruption/version rejection), checkpoint
 round-trip state equality, bit-identical suggest trajectories after
 resume (including in a fresh process), multi-tenant service isolation
-under LRU eviction, batched stepping, and knowledge-base warm starts.
+under LRU eviction, tenants stepped together through ``step_batch``
+(they match the harness runner), knowledge-base warm starts, and the
+``demo`` command end to end.
 """
 
 from __future__ import annotations
 
+import os
+import re
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -17,12 +22,13 @@ import pytest
 from repro.baselines.base import Feedback, SuggestInput
 from repro.core import Observation, OnlineTune
 from repro.dbms import PerformanceModel, SimulatedMySQL
-from repro.harness import ParallelRunner, SessionSpec
+from repro.harness import ParallelRunner, SessionSpec, build_session_from_spec
 from repro.knobs import case_study_space
 from repro.service import (
     CheckpointError,
     CheckpointStore,
     KnowledgeBase,
+    LeaseLostError,
     TenantSpec,
     TuningService,
     load_checkpoint,
@@ -31,6 +37,8 @@ from repro.service import (
     save_checkpoint,
 )
 from repro.workloads import TPCCWorkload
+
+from service_utils import build_reference_db, step_together
 
 ITERS = 14
 
@@ -300,24 +308,34 @@ class TestTuningService:
         assert first == again
 
     def test_run_batch_matches_runner_and_persists(self, tmp_path):
-        service = TuningService(tmp_path, runner=ParallelRunner(max_workers=2))
-        specs = {
-            "bo-t": SessionSpec(tuner="BO", workload="tpcc", seed=7,
-                                n_iterations=5, space="case_study"),
-            "ot-t": SessionSpec(tuner="OnlineTune", workload="tpcc", seed=7,
-                                n_iterations=5, space="case_study"),
-        }
-        results = service.run_batch(specs)
+        """Tenants created at their instances' configuration and stepped
+        together through ``step_batch`` reproduce the harness runner's
+        sessions of the same specs, are durable, and feed the knowledge
+        base when closed."""
+        specs = {f"ot-{seed}": SessionSpec(
+            tuner="OnlineTune", workload="tpcc", seed=seed, n_iterations=5,
+            space="case_study", offset_seed=False) for seed in (7, 8)}
         reference = ParallelRunner(max_workers=1).run(list(specs.values()))
-        for got, want in zip(results.values(), reference):
-            assert [r.performance for r in got.records] == \
-                [r.performance for r in want.records]
-        # every batch tenant is durable and resumable
+        service = TuningService(tmp_path)
+        instances = {}
         for tenant, spec in specs.items():
+            db = build_session_from_spec(spec).db
+            service.create(tenant, TenantSpec(
+                space=spec.space, seed=spec.seed,
+                initial_config=db.reference_config))
+            instances[tenant] = db
+        trace = step_together(service, instances, 5)
+        for (tenant, got), want in zip(trace.items(), reference):
+            assert [perf for _, perf in got] == \
+                [record.performance for record in want.records]
+            path = service.close(tenant)
+            assert read_metadata(path)["n_observations"] == 5
+        # every batch tenant is durable and resumable
+        for tenant in specs:
             payload, meta = service.store.load_latest(tenant)
             assert meta["tuner_class"] == payload.__class__.__name__
-        # OnlineTune sessions feed the knowledge base
-        assert {e.tenant for e in service.knowledge.entries} == {"ot-t"}
+            assert len(service.resume(tenant).repo) == 5
+        assert {e.tenant for e in service.knowledge.entries} == set(specs)
 
 
 class TestKnowledgeBase:
@@ -394,14 +412,27 @@ class TestReviewRegressions:
     """Regressions from the pre-merge review."""
 
     def test_run_batch_supersedes_stale_live_session(self, tmp_path):
-        # a hydrated pre-batch tuner must not shadow the batch result
-        service = TuningService(tmp_path, runner=ParallelRunner(max_workers=1))
-        service.create("t1", TenantSpec(space="case_study", seed=7))
-        spec = SessionSpec(tuner="OnlineTune", workload="tpcc", seed=7,
-                           n_iterations=5, space="case_study")
-        service.run_batch({"t1": spec})
-        # the next API touch operates on (and re-persists) batch state
-        path = service.checkpoint("t1")
+        """A tenant still hydrated on frontend A after A's lease lapsed
+        must not shadow the intervals frontend B stepped in the meantime:
+        A's next mutating call drops its stale copy with
+        ``LeaseLostError`` instead of writing over B's state, and the call
+        after that operates on (and re-persists) B's state."""
+        db = build_reference_db(7)
+        spec = TenantSpec(space="case_study", seed=7,
+                          initial_config=db.reference_config)
+        a = TuningService(tmp_path, owner="fe-A")
+        a.create("t1", spec)
+        # fe-A stops heartbeating: its lease lapses
+        lease = a._live["t1"].lease
+        past = time.time() - 2 * lease.ttl
+        os.utime(lease.path, (past, past))
+        lease.expires_at = past + lease.ttl
+        b = TuningService(tmp_path, owner="fe-B")
+        step_together(b, {"t1": db}, 5)
+        b.close("t1", register_knowledge=False)
+        with pytest.raises(LeaseLostError):
+            a.checkpoint("t1")
+        path = a.checkpoint("t1")
         assert read_metadata(path)["n_observations"] == 5
 
     def test_clean_eviction_writes_no_checkpoint(self, tmp_path):
@@ -458,3 +489,20 @@ class TestReviewRegressions:
                                db, t, metrics)
         # birth checkpoint + one auto-checkpoint per 2 observed intervals
         assert len(service.store.list("a")) == 3
+
+
+class TestDemo:
+    def test_demo_steps_safe_tenants_into_the_knowledge_base(
+            self, tmp_path, capsys):
+        """``repro-service demo`` at a small size exits 0, closes both
+        coalesced-round tenants into the knowledge base, and no tenant
+        (step 1's or step 2's) is unsafe on every interval: each starts
+        at its instance's configuration, where τ is measured."""
+        from repro.service import cli
+        assert cli.main(["demo", "--tenants", "2", "--iterations", "8",
+                         "--root", str(tmp_path)]) == 0
+        assert len(KnowledgeBase(tmp_path / "knowledge.json")) == 2
+        unsafe = [int(n) for n in
+                  re.findall(r"#unsafe=(\d+)", capsys.readouterr().out)]
+        assert len(unsafe) == 3              # two step-1 tenants + step 2
+        assert all(n < 8 for n in unsafe), unsafe

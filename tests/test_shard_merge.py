@@ -1,25 +1,20 @@
-"""Shard/merge determinism for multi-host figure sweeps.
+"""Strided shards of a figure sweep merge back exactly.
 
-The union of N shard runs must equal the unsharded run's results — for
-any shard count — because each session is rebuilt from its
-:class:`~repro.harness.SessionSpec` with spec-derived seeding.  Also
-covers the JSON round-trip the cross-host merge path uses and the merge
-validator's failure modes.
+:class:`~repro.harness.ParallelRunner` rebuilds every session from its
+:class:`~repro.harness.SessionSpec` with spec-derived seeding and shares
+no state between sessions, so a sweep split by stride (shard i runs
+``specs[i::k]``, on any host) and put back together by position equals
+the unsharded run, for any shard count.  Also covers the shard
+coordinates a wire frontend accepts.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.harness import (
-    ParallelRunner,
-    SessionSpec,
-    ShardRun,
-    merge_shard_runs,
-    shard_specs,
-)
+from repro.harness import ParallelRunner, SessionSpec
+from repro.service import TuningService
+from repro.service.transport import TuningServer
 
 ITERS = 12
 TUNERS = ("OnlineTune", "BO", "DDPG", "ResTune", "QTune", "MysqlTuner")
@@ -58,88 +53,16 @@ class TestShardMerge:
     def test_union_of_shards_equals_unsharded(self, shard_count, unsharded):
         specs = _fig06_specs()
         runner = ParallelRunner(max_workers=1)
-        shards = [runner.run_shard(specs, i, shard_count)
-                  for i in range(shard_count)]
-        merged = merge_shard_runs(shards)
+        merged = [None] * len(specs)
+        for index in range(shard_count):
+            merged[index::shard_count] = runner.run(
+                specs[index::shard_count])
         assert len(merged) == len(unsharded)
         for a, b in zip(merged, unsharded):
             _assert_identical(a, b)
 
-    def test_shards_partition_specs(self):
-        specs = _fig06_specs()
-        for shard_count in (2, 3, 5, 7):
-            covered = []
-            for i in range(shard_count):
-                covered.extend(idx for idx, _ in
-                               shard_specs(specs, i, shard_count))
-            assert sorted(covered) == list(range(len(specs)))
-
-    def test_json_round_trip_preserves_results(self, unsharded, tmp_path):
-        specs = _fig06_specs()
-        runner = ParallelRunner(max_workers=1)
-        shards = [runner.run_shard(specs, i, 3) for i in range(3)]
-        paths = []
-        for shard in shards:
-            path = tmp_path / f"shard{shard.shard_index}.json"
-            path.write_text(json.dumps(shard.to_dict(), sort_keys=True))
-            paths.append(path)
-        restored = [ShardRun.from_dict(json.loads(p.read_text()))
-                    for p in paths]
-        merged = merge_shard_runs(restored)
-        for a, b in zip(merged, unsharded):
-            _assert_identical(a, b)
-
-    def test_merge_rejects_missing_shard(self):
-        specs = _fig06_specs()
-        runner = ParallelRunner(max_workers=1)
-        shards = [runner.run_shard(specs, i, 3) for i in (0, 2)]
-        with pytest.raises(ValueError, match="missing spec indices"):
-            merge_shard_runs(shards)
-
-    def test_merge_rejects_duplicate_shard(self):
-        specs = _fig06_specs()
-        runner = ParallelRunner(max_workers=1)
-        shard = runner.run_shard(specs, 0, 3)
-        others = [runner.run_shard(specs, i, 3) for i in (1, 2)]
-        with pytest.raises(ValueError, match="covered twice"):
-            merge_shard_runs([shard, shard] + others)
-
-    def test_merge_rejects_mismatched_shape(self):
-        specs = _fig06_specs()
-        runner = ParallelRunner(max_workers=1)
-        a = runner.run_shard(specs, 0, 2)
-        b = runner.run_shard(specs, 1, 3)
-        with pytest.raises(ValueError, match="disagrees on sweep shape"):
-            merge_shard_runs([a, b])
-
-    def test_invalid_shard_arguments(self):
-        specs = _fig06_specs()
-        with pytest.raises(ValueError):
-            shard_specs(specs, 3, 3)
-        with pytest.raises(ValueError):
-            shard_specs(specs, -1, 3)
-        with pytest.raises(ValueError):
-            shard_specs(specs, 0, 0)
-
-
-class TestSweepCLI:
-    def test_sweep_run_and_merge_match_unsharded(self, tmp_path, monkeypatch,
-                                                 unsharded, capsys):
-        from repro.harness import sweep
-
-        monkeypatch.setenv("REPRO_QUICK_ITERS", str(ITERS))
-        paths = [sweep.run_sweep_shard("fig06", i, 3, tmp_path,
-                                       max_workers=1)
-                 for i in range(3)]
-        results = sweep.merge_sweep_files("fig06", paths)
-        assert list(results) == list(TUNERS)
-        # the CLI sweep uses the full mysql57 space (the paper's figure),
-        # while this module's in-process grid uses the case-study space,
-        # so compare the CLI merge against its own unsharded reference
-        reference = ParallelRunner(max_workers=1).run(
-            sweep.sweep_specs("fig06"))
-        for merged, ref in zip(results.values(), reference):
-            _assert_identical(merged, ref)
-        assert sweep.main(["merge", "--sweep", "fig06"]
-                          + [str(p) for p in paths]) == 0
-        assert "fig06" in capsys.readouterr().out
+    def test_invalid_shard_arguments(self, tmp_path):
+        service = TuningService(tmp_path)
+        for index, count in ((3, 3), (-1, 3), (0, 0)):
+            with pytest.raises(ValueError, match="shard_index"):
+                TuningServer(service, shard_index=index, shard_count=count)

@@ -674,11 +674,8 @@ class TestServeCli:
         assert "smoke" not in restarted.store.read_owners()
         assert len(restarted.resume("smoke").repo) == 2
 
-    def test_flag_style_invocation_still_reaches_demo(self):
-        # back-compat: `repro.service.cli --tenants N` (no subcommand)
-        # must keep parsing as the demo - assert the parser accepts it by
-        # checking the help path routes to the demo parser
+    def test_subcommand_is_required(self, capsys):
         from repro.service import cli
-        with pytest.raises(SystemExit) as info:
-            cli.main(["--help"])
-        assert info.value.code == 0
+        assert cli.main(["--tenants", "2"]) == 2
+        assert cli.main([]) == 2
+        assert "a subcommand is required" in capsys.readouterr().err
