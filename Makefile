@@ -2,9 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-service lint perf-test bench bench-baseline bench-check \
-	bench-check-relative bench-fleet bench-fleet-baseline \
-	bench-fleet-multi bench-fleet-kill fleet-smoke fleet-kill-smoke \
-	service-demo serve
+	bench-check-relative service-demo serve
 
 test:            ## tier-1 suite (perf microbenchmarks + slow stress excluded)
 	$(PYTHON) -m pytest -x -q
@@ -46,27 +44,6 @@ bench-check:     ## perf-regression gate: fail if history-500 suggest+observe re
 
 bench-check-relative:  ## CI-safe perf gate: measure a baseline ref on THIS machine, gate on relative regression
 	$(PYTHON) -m benchmarks.bench_relative $(BENCH_RELATIVE_ARGS)
-
-bench-fleet:     ## wire-frontend fleet load: 120 tenant streams over TCP -> BENCH_fleet.json ('current')
-	$(PYTHON) -m benchmarks.fleet_load
-
-bench-fleet-baseline:  ## record the current tree as the fleet-serving baseline
-	$(PYTHON) -m benchmarks.fleet_load --as-baseline
-
-bench-fleet-multi:  ## 2-frontend shared-store fleet load (directory pre-routing vs probe-first) -> 'multi_frontend'
-	$(PYTHON) -m benchmarks.fleet_load --frontends 2
-
-bench-fleet-kill:  ## kill-mode fleet bench: 3 subprocess frontends, SIGKILL one mid-load, record takeover latency -> 'takeover'
-	$(PYTHON) -m benchmarks.fleet_load --frontends 3 --kill-after 2 \
-		--tenants 24 --intervals 6
-
-fleet-smoke:     ## CI fleet job: small mixed-workload run, asserts serving invariants, writes nothing
-	$(PYTHON) -m benchmarks.fleet_load --smoke --tenants 24 --intervals 3
-
-fleet-kill-smoke:  ## CI takeover gate: SIGKILL a frontend mid-load, assert zero lost calls + clean survivor drain, writes nothing
-	$(PYTHON) -m benchmarks.fleet_load --smoke --frontends 2 \
-		--kill-after 1.0 --lease-ttl 1.5 --tenants 12 --intervals 4 \
-		--ramp-window 2
 
 serve:           ## run one wire frontend (repro-service serve); HOST/PORT/STORE_ROOT overridable
 	$(PYTHON) -m repro.service.cli serve --host $(or $(HOST),127.0.0.1) \

@@ -23,8 +23,7 @@ SIGINT/SIGTERM.  On startup it prints a machine-readable readiness
 line — ``READY <host> <port> <owner>`` — so harnesses can bind
 ``--port 0`` and parse the ephemeral port.  Shutdown drains every
 queued request, releases every tenant lease, prints the serving stats,
-and exits non-zero if any accepted request went unanswered (the CI
-smoke job asserts this).
+and exits non-zero if any accepted request went unanswered.
 """
 
 from __future__ import annotations
@@ -144,8 +143,8 @@ def serve_main(argv=None) -> int:
     parser.add_argument("--lease-ttl", type=float, default=None,
                         help="per-tenant lease TTL in seconds (default: "
                              "the library default, 30); short TTLs make "
-                             "crashed-frontend takeover fast — kill-mode "
-                             "benchmarks use ~1-2s")
+                             "crashed-frontend takeover fast — the "
+                             "takeover tests use 1.5")
     args = parser.parse_args(argv)
     if not 0 <= args.shard_index < args.shard_count:
         # the janitor would wrap onto another frontend's slice and leave
@@ -156,8 +155,8 @@ def serve_main(argv=None) -> int:
     import logging
     import signal
 
-    # takeover events are INFO logs from repro.service.service; the
-    # fleet smoke/kill harnesses grep the serve log for them
+    # takeover events are INFO logs from repro.service.service, one
+    # ``lease takeover: tenant=`` line per orphan a frontend adopts
     logging.basicConfig(
         level=logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
@@ -244,8 +243,8 @@ def serve_main(argv=None) -> int:
           f"release_errors={service_counters['release_errors']}",
           flush=True)
     if janitor is not None:
-        # the smoke job greps cross_shard=0: N sharded janitors must
-        # never have touched each other's tenants
+        # cross_shard counts tenants this janitor touched outside its
+        # shard; N sharded janitors must keep it at 0
         print(f"janitor clean: sweeps={janitor.sweeps} "
               f"compacted={janitor.total_compacted} "
               f"pruned={janitor.total_pruned} "

@@ -31,12 +31,12 @@ lease at a time.  A client that addresses the wrong frontend gets a
   ``ConnectionError``).  The failing frontend is marked dead in the
   :class:`DirectoryCache`, the directory is re-fetched from a
   *surviving* frontend, and the call re-routes — to the refreshed
-  owner hint when ``use_directory`` is on, otherwise to the next
-  surviving frontend in probe order — all inside the same bounded
-  budget.  A ``lease_held`` redirect that names a *dead* holder is a
-  wait, not a redirect: the client stays put and rides out the corpse's
-  lease TTL (the ``retry_after`` hint, capped) until a survivor takes
-  the tenant over.
+  owner hint, otherwise to the next surviving frontend in probe
+  order — all inside the same bounded budget.  A ``lease_held``
+  redirect that names a *dead* holder is a wait, not a redirect: the
+  client stays put and rides out the corpse's lease TTL (the
+  ``retry_after`` hint, capped) until a survivor takes the tenant
+  over.
 
 The routing/backoff decisions live in :class:`FailoverPolicy`, a pure
 (sans-I/O) state machine shared by this in-process client and the wire
@@ -322,10 +322,6 @@ class ServiceClient:
         Seeds the jitter RNG (deterministic tests).
     sleep:
         Injection point for the backoff sleep (tests pass a no-op).
-    use_directory:
-        Consult the :class:`DirectoryCache` when routing a tenant with
-        no affinity yet (default on).  Off reproduces the PR 7
-        probe-first behavior — useful as a benchmark control.
     """
 
     def __init__(self, frontends: Iterable[TuningService],
@@ -333,8 +329,7 @@ class ServiceClient:
                  backoff_base: float = DEFAULT_BACKOFF_BASE,
                  backoff_cap: float = DEFAULT_BACKOFF_CAP,
                  seed: Optional[int] = None,
-                 sleep=time.sleep,
-                 use_directory: bool = True) -> None:
+                 sleep=time.sleep) -> None:
         self._frontends = list(frontends)
         if not self._frontends:
             raise ValueError("a ServiceClient needs at least one frontend")
@@ -348,7 +343,6 @@ class ServiceClient:
                                      backoff_cap=backoff_cap, seed=seed)
         self._sleep = sleep
         self._affinity: Dict[str, TuningService] = {}
-        self.use_directory = bool(use_directory)
         self.redirects = 0           # lifetime counters (observability)
         self.retries = 0
         self.first_hop_hits = 0      # calls whose first attempt landed
@@ -372,10 +366,9 @@ class ServiceClient:
             if not directory.is_dead(frontend.leases.owner):
                 return frontend
             del self._affinity[tenant_id]
-        if self.use_directory:
-            hinted = self._frontend_for_owner(directory.lookup(tenant_id))
-            if hinted is not None:
-                return hinted
+        hinted = self._frontend_for_owner(directory.lookup(tenant_id))
+        if hinted is not None:
+            return hinted
         return self._next_surviving()
 
     def _frontend_for_owner(self,
@@ -432,14 +425,11 @@ class ServiceClient:
                     self.frontend_deaths += 1
                     dead_owner = frontend.leases.owner
                     self._affinity.pop(tenant_id, None)
-                    if self.use_directory:
-                        self.refresh_directory()
-                        self.directory_refreshes += 1
-                        frontend = (self._frontend_for_owner(
-                            self.policy.directory.lookup(tenant_id))
-                            or self._next_surviving(exclude=dead_owner))
-                    else:
-                        frontend = self._next_surviving(exclude=dead_owner)
+                    self.refresh_directory()
+                    self.directory_refreshes += 1
+                    frontend = (self._frontend_for_owner(
+                        self.policy.directory.lookup(tenant_id))
+                        or self._next_surviving(exclude=dead_owner))
                     self.redirects += 1
                     self._sleep(decision.delay)
                     continue

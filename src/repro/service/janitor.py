@@ -43,7 +43,7 @@ import threading
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..core.tuner import OnlineTune
 from .checkpoint import CheckpointError
@@ -53,6 +53,17 @@ from .store import CheckpointStore
 __all__ = ["Janitor", "JanitorReport"]
 
 log = logging.getLogger(__name__)
+
+
+def shard_coordinates(shard_index: int, shard_count: int) -> Tuple[int, int]:
+    """``(shard_index, shard_count)`` as ints; ``ValueError`` unless
+    ``0 <= shard_index < shard_count``.  A wrapped index would sweep
+    another shard's slice twice and leave its own unswept."""
+    index, count = int(shard_index), int(shard_count)
+    if not 0 <= index < count:
+        raise ValueError(f"shard_index must be in [0, shard_count), "
+                         f"got {shard_index} of {shard_count}")
+    return index, count
 
 
 @dataclass
@@ -96,8 +107,9 @@ class Janitor:
         ``p % shard_count == shard_index``, so k janitors sweep k
         disjoint slices that together cover the namespace.
         Out-of-shard tenants are counted and skipped
-        *before* any lease probe.  Defaults to one shard = the whole
-        namespace (PR 7 behavior).
+        *before* any lease probe.  ``ValueError`` unless
+        ``0 <= shard_index < shard_count``.  Defaults to one shard =
+        the whole namespace (PR 7 behavior).
     """
 
     def __init__(self, root, snapshot_every: int = 64, prune_keep: int = 3,
@@ -105,6 +117,8 @@ class Janitor:
                  owner: Optional[str] = None,
                  interval: float = 5.0,
                  shard_index: int = 0, shard_count: int = 1) -> None:
+        self.shard_index, self.shard_count = shard_coordinates(
+            shard_index, shard_count)
         self.root = Path(root)
         self.store = CheckpointStore(self.root)
         owner = owner or (f"janitor:{socket.gethostname()}:{os.getpid()}:"
@@ -114,12 +128,10 @@ class Janitor:
         self.snapshot_every = max(1, int(snapshot_every))
         self.prune_keep = int(prune_keep)
         self.interval = float(interval)
-        self.shard_count = max(1, int(shard_count))
-        self.shard_index = int(shard_index) % self.shard_count
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         # lifetime counters across sweeps (serve's shutdown line reports
-        # them; CI asserts cross_shard stays 0 under sharding)
+        # them; cross_shard stays 0 under sharding)
         self.sweeps = 0
         self.total_compacted = 0
         self.total_pruned = 0
@@ -161,7 +173,7 @@ class Janitor:
         self.total_pruned += len(report.pruned)
         self.total_skipped_out_of_shard += report.skipped_out_of_shard
         # regression tripwire: anything touched outside the computed
-        # slice means the sharding broke (CI greps cross_shard=0)
+        # slice means the sharding broke
         touched = set(report.compacted) | set(report.pruned)
         self.total_cross_shard += len(touched - set(assigned))
         self.total_republished += len(report.republished)

@@ -15,8 +15,9 @@
   :class:`~repro.service.client.FailoverPolicy` redirects/backoff).
 
 Start a frontend with ``python -m repro.service.cli serve`` and drive it
-with either client; ``benchmarks/fleet_load.py`` (``make bench-fleet``)
-measures sustained QPS and latency percentiles against it.
+with either client; the ``fleet-steady`` and ``fleet-churn`` workloads of
+``python3 benchmarks/e2e/run.py`` measure throughput and latency against
+one.
 """
 
 from .client import AsyncServiceClient, RemoteFrontend

@@ -13,7 +13,8 @@ protocol`, sharing one failover brain:
   stubs in a ``ServiceClient`` gives holder-identity redirects over the
   wire with zero new routing code.
 * :class:`AsyncServiceClient` — the asyncio-native fleet client the
-  load generator drives: one multiplexed connection per frontend
+  end-to-end benchmark and the takeover test drive: one multiplexed
+  connection per frontend
   (pipelined request ids, out-of-order completion), per-tenant
   affinity, and the identical
   :class:`~repro.service.client.FailoverPolicy` jittered-backoff budget
@@ -313,8 +314,7 @@ class AsyncServiceClient:
                  max_failovers: int = DEFAULT_FAILOVER_BUDGET,
                  backoff_base: float = DEFAULT_BACKOFF_BASE,
                  backoff_cap: float = DEFAULT_BACKOFF_CAP,
-                 seed: Optional[int] = None,
-                 use_directory: bool = True) -> None:
+                 seed: Optional[int] = None) -> None:
         self._addresses = list(addresses)
         if not self._addresses:
             raise ValueError("an AsyncServiceClient needs at least one "
@@ -325,7 +325,6 @@ class AsyncServiceClient:
         self._connections: List[_AsyncConnection] = []
         self._by_owner: Dict[str, _AsyncConnection] = {}
         self._affinity: Dict[str, _AsyncConnection] = {}
-        self.use_directory = bool(use_directory)
         self.redirects = 0
         self.retries = 0
         self.first_hop_hits = 0      # calls whose first attempt landed
@@ -357,10 +356,9 @@ class AsyncServiceClient:
             if not directory.is_dead(conn.owner):
                 return conn
             del self._affinity[tenant_id]
-        if self.use_directory:
-            hinted = self._conn_for_owner(directory.lookup(tenant_id))
-            if hinted is not None:
-                return hinted
+        hinted = self._conn_for_owner(directory.lookup(tenant_id))
+        if hinted is not None:
+            return hinted
         return self._next_surviving()
 
     def _conn_for_owner(
@@ -426,14 +424,11 @@ class AsyncServiceClient:
                     self.frontend_deaths += 1
                     dead_owner = conn.owner
                     self._affinity.pop(tenant_id, None)
-                    if self.use_directory:
-                        await self.refresh_directory()
-                        self.directory_refreshes += 1
-                        conn = (self._conn_for_owner(
-                            self.policy.directory.lookup(tenant_id))
-                            or self._next_surviving(exclude=dead_owner))
-                    else:
-                        conn = self._next_surviving(exclude=dead_owner)
+                    await self.refresh_directory()
+                    self.directory_refreshes += 1
+                    conn = (self._conn_for_owner(
+                        self.policy.directory.lookup(tenant_id))
+                        or self._next_surviving(exclude=dead_owner))
                     self.redirects += 1
                     await asyncio.sleep(decision.delay)
                     continue

@@ -23,9 +23,10 @@ frontend that sustains thousands of concurrent tenant streams:
   Overload is *load shedding with an answer*, never a silent drop.
 * **Clean shutdown** — :meth:`stop` stops accepting, drains every queued
   request through the dispatcher, answers it, then closes connections.
-  :meth:`stats` exposes the accounting invariant the CI smoke job
-  asserts: ``accepted == completed + rejected`` and zero requests
-  dropped without acknowledgement.
+  :meth:`stats` exposes the accounting invariant that ``serve``'s
+  shutdown line reports and the end-to-end benchmark asserts:
+  ``accepted == completed + rejected`` and zero requests dropped
+  without acknowledgement.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from collections import OrderedDict, deque
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..service import StepCall, TuningService
+from ..janitor import shard_coordinates
 from . import protocol
 
 __all__ = ["TuningServer"]
@@ -130,11 +132,8 @@ class TuningServer:
         self.queue_depth = max(1, int(queue_depth))
         self.max_inflight = max(1, int(max_inflight))
         self.retry_after = float(retry_after)
-        if not 0 <= int(shard_index) < int(shard_count):
-            raise ValueError(f"shard_index must be in [0, shard_count), "
-                             f"got {shard_index} of {shard_count}")
-        self.shard_index = int(shard_index)
-        self.shard_count = int(shard_count)
+        self.shard_index, self.shard_count = shard_coordinates(
+            shard_index, shard_count)
         # tenant -> FIFO of _Pending; OrderedDict gives deterministic
         # round-robin order across tenants
         self._queues: "OrderedDict[str, Deque[_Pending]]" = OrderedDict()
@@ -192,8 +191,8 @@ class TuningServer:
         event loop torn down).  The request accounting already covered
         the in-flight answer, but the *connection* loss must stay
         visible: ``aborted_connections`` keeps these out of the silent
-        ``pass`` bucket so the smoke job can distinguish "drained clean"
-        from "drained, but sockets were dying".
+        ``pass`` bucket so an operator can tell "drained clean" from
+        "drained, but sockets were dying".
         """
         try:
             writer.close()
@@ -379,7 +378,7 @@ class TuningServer:
         """Send one response and account it: every accepted request ends
         up in exactly one of completed / rejected / unanswered, so
         ``accepted == completed + rejected + unanswered`` is an
-        invariant the smoke job can assert."""
+        invariant callers can assert."""
         if await conn.send(response):
             self._stats[kind] += 1
         else:

@@ -3,11 +3,17 @@
 The fault-injection, concurrency, and golden-trajectory suites all need
 the same deterministic client loop: build a simulated instance, feed the
 tuner (or a hosted tenant) one interval at a time, and keep the metrics
-stream the client would replay after a crash.
+stream the client would replay after a crash.  The wire suites also
+share one way to start, address and drain a real ``serve`` process.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.baselines.base import Feedback, SuggestInput
@@ -17,6 +23,8 @@ from repro.knobs import case_study_space, dba_default_config
 from repro.service import StepCall
 from repro.service.cli import _round, _run_interval, _suggest_input
 from repro.workloads import TPCCWorkload
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def build_db(seed: int, workload=None) -> SimulatedMySQL:
@@ -123,3 +131,46 @@ def step_together(service, instances: Dict[str, SimulatedMySQL],
             trace[tenant].append((config, feedback.performance))
         _round(service, observes)
     return trace
+
+
+def spawn_serve(store_root: Path, *args: str) -> subprocess.Popen:
+    """Start ``repro-service serve`` on an ephemeral port over
+    ``store_root``, with ``args`` as extra CLI flags; its stdout and
+    stderr both go to ``proc.stdout``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (str(REPO_ROOT / "src")
+                         + os.pathsep + env.get("PYTHONPATH", ""))
+    return subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro.service.cli", "serve",
+         "--port", "0", "--store-root", str(store_root), *args],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+
+
+def read_ready(proc: subprocess.Popen) -> Tuple[str, int, str]:
+    """``(host, port, owner)`` from the process's ``READY`` line."""
+    for _ in range(200):
+        line = proc.stdout.readline()
+        if not line:
+            break
+        if line.startswith("READY "):
+            _, host, port, owner = line.split()
+            return host, int(port), owner
+    raise AssertionError("serve never printed READY")
+
+
+def stop_serve(*procs: subprocess.Popen) -> List[str]:
+    """SIGINT every process still running, wait for each to drain (a
+    SIGKILLed one is only reaped) and return the rest of what each
+    printed."""
+    for proc in procs:
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGINT)
+    outputs = []
+    for proc in procs:
+        try:
+            out, _ = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            out, _ = proc.communicate()
+        outputs.append(out or "")
+    return outputs

@@ -177,8 +177,8 @@ class TestShardMergeSweep:
     @given(names=_tenant_names,
            shard_count=st.integers(min_value=1, max_value=5))
     @DETERMINISM_SETTINGS
-    def test_janitor_assignment_is_the_run_batch_partition(self, names,
-                                                           shard_count):
+    def test_directory_pass_is_the_strided_partition(self, names,
+                                                     shard_count):
         """Directory pass: every tenant carries a dead frontend's hint,
         so each janitor tombstones every tenant in its slice.  Shard i's
         ``republished`` keys are exactly ``tenants[i::k]``, it skips the

@@ -8,8 +8,8 @@ The directory is a tenant→owner *hint* map published through the shared
   lease does NOT clobber the new owner's entry.
 * **Pre-routing** — a cold client that bulk-refreshed the directory
   sends its first hop straight to the owning frontend (zero
-  redirects), where the probe-first client of PR 7 bounces off
-  ``lease_held``.
+  redirects), where a cold client that never refreshed it probes
+  frontend 0 first and bounces off ``lease_held``.
 * **Staleness is safe** — a wrong directory entry degrades to exactly
   the old probe-and-redirect path: the misdirected frontend answers
   ``lease_held`` with the true holder and the call converges.  The
@@ -131,7 +131,7 @@ class TestServicePublishes:
         service.close("t", register_knowledge=False)
         assert service.directory() == {}
 
-    def test_run_batch_publishes_then_tombstones(self, tmp_path):
+    def test_step_batch_publishes_then_tombstones(self, tmp_path):
         """Tenants stepped together through ``step_batch`` stay
         published under this frontend for the whole batch; closing them
         tombstones every entry."""
@@ -221,9 +221,9 @@ class TestSyncClientPreRouting:
     def test_probe_first_control_bounces(self, tmp_path):
         a, b = self._fleet(tmp_path)
         self._provision(a)
-        control = ServiceClient([b, a], sleep=lambda s: None, seed=0,
-                                use_directory=False)
-        control.refresh_directory()          # cached but deliberately unused
+        # never refreshed: its first hop probes fe-B, the first frontend
+        control = ServiceClient([b, a], sleep=lambda s: None, seed=0)
+        assert len(control.policy.directory) == 0
         db = build_db(3)
         step(lambda i: control.suggest("t", i),
              lambda f: control.observe("t", f), db, 0, {})
@@ -251,12 +251,12 @@ class TestSyncClientPreRouting:
 
     def test_trajectory_identical_with_and_without_directory(self, tmp_path):
         """Routing is invisible to the tuning math: the pre-routed
-        trajectory is bit-identical to the probe-first one."""
+        trajectory is bit-identical to the one a cold client that never
+        refreshed the directory produces by probing."""
         n = 4
         a1, b1 = self._fleet(tmp_path / "probe")
         self._provision(a1)
-        probe = ServiceClient([b1, a1], sleep=lambda s: None, seed=0,
-                              use_directory=False)
+        probe = ServiceClient([b1, a1], sleep=lambda s: None, seed=0)
         probe_configs, _ = drive_service(probe, "t", build_db(3), 0, n)
 
         a2, b2 = self._fleet(tmp_path / "routed")
@@ -292,7 +292,7 @@ class TestWireDirectory:
     def test_async_two_frontend_pre_routing(self, tmp_path):
         """Two wire frontends over one store.  Tenants provisioned
         round-robin; a cold directory-refreshed client never redirects,
-        a cold probe-first client must."""
+        a cold client that never refreshed it must."""
         from repro.service.transport.server import TuningServer
 
         async def scenario():
@@ -325,11 +325,10 @@ class TestWireDirectory:
                 default_performance=inp_db.default_performance(0),
                 is_olap=prof.is_olap)
 
-            async def drive_cold(use_directory):
-                client = AsyncServiceClient(addresses, seed=0,
-                                            use_directory=use_directory)
+            async def drive_cold(refresh):
+                client = AsyncServiceClient(addresses, seed=0)
                 await client.connect()
-                if use_directory:
+                if refresh:
                     assert await client.refresh_directory() == len(tenants)
                 for tenant in tenants:
                     await client.suggest(tenant, inp)
@@ -338,8 +337,8 @@ class TestWireDirectory:
                 await client.aclose()
                 return counters
 
-            probe = await drive_cold(use_directory=False)
-            routed = await drive_cold(use_directory=True)
+            probe = await drive_cold(refresh=False)
+            routed = await drive_cold(refresh=True)
             for server in servers:
                 await server.stop()
             return probe, routed
@@ -347,7 +346,7 @@ class TestWireDirectory:
         probe, routed = asyncio.run(scenario())
         probe_redirects, _, probe_misses = probe
         routed_redirects, routed_hits, routed_misses = routed
-        # probe-first: the two tenants owned by fe-1 bounce off fe-0
+        # never refreshed: the two tenants owned by fe-1 bounce off fe-0
         assert probe_redirects >= 2 and probe_misses >= 2
         # directory: every first hop lands
         assert routed_redirects == 0 and routed_misses == 0

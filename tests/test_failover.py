@@ -16,22 +16,24 @@ client must converge on a survivor without losing the request:
   dead frontend's owner identity; raw ``ConnectionError`` never leaks
   into the failover loop.
 
-The slow-marked end-to-end test SIGKILLs a real ``serve`` subprocess
-mid-session and asserts the client finishes the trajectory on the
-survivor (run via ``make test-service``).
+The slow-marked end-to-end tests SIGKILL a real ``serve`` subprocess
+mid-session (run via ``make test-service``).  One asserts a single
+tenant's client finishes the trajectory on the survivor.  The other
+kills one of two sharded frontends under 12 tenants and asserts zero
+lost calls, every orphan taken over by the survivor, and a clean
+survivor drain; it prints each orphan's takeover latency.
 """
 
 from __future__ import annotations
 
+import asyncio
 import os
-import signal
 import socket
-import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
+from typing import Dict
 
+import numpy as np
 import pytest
 
 from repro.service import (
@@ -41,14 +43,24 @@ from repro.service import (
     TenantSpec,
     TuningService,
 )
-from repro.service.client import DirectoryCache, FailoverPolicy
+from repro.service.cli import _run_interval, _suggest_input
+from repro.service.client import (
+    DEFAULT_BACKOFF_CAP,
+    DirectoryCache,
+    FailoverPolicy,
+)
 from repro.service.lease import LeaseHeldError
-from repro.service.transport import RemoteFrontend
+from repro.service.transport import AsyncServiceClient, RemoteFrontend
 from repro.service.transport import protocol
 
-from service_utils import build_db, drive, step
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
+from service_utils import (
+    build_db,
+    drive,
+    read_ready,
+    spawn_serve,
+    step,
+    stop_serve,
+)
 
 SPEC = TenantSpec(space="case_study", seed=3)
 
@@ -374,36 +386,23 @@ class TestWireDeathIsTyped:
 # end-to-end: SIGKILL a real serve subprocess mid-session (slow)
 # ---------------------------------------------------------------------------
 
-def _spawn_serve(root: Path, index: int, ttl: float) -> subprocess.Popen:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (str(REPO_ROOT / "src")
-                         + os.pathsep + env.get("PYTHONPATH", ""))
-    return subprocess.Popen(
-        [sys.executable, "-u", "-m", "repro.service.cli", "serve",
-         "--port", "0", "--store-root", str(root),
-         "--shard-index", str(index), "--shard-count", "2",
-         "--lease-ttl", str(ttl)],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-
-
-def _read_ready(proc: subprocess.Popen):
-    for _ in range(200):
-        line = proc.stdout.readline()
-        if not line:
-            break
-        if line.startswith("READY "):
-            _, host, port, owner = line.split()
-            return host, int(port), owner
-    raise AssertionError("serve never printed READY")
+def _shutdown_fields(out: str, prefix: str) -> Dict[str, str]:
+    """``key=value`` fields of the one ``prefix`` line in a serve log."""
+    lines = [line for line in out.splitlines() if prefix in line]
+    assert len(lines) == 1, (prefix, out)
+    return dict(field.split("=", 1)
+                for field in lines[0].split(prefix, 1)[1].split())
 
 
 @pytest.mark.slow
 class TestSigkillTakeover:
     def test_client_survives_sigkilled_frontend(self, tmp_path):
         ttl = 1.5
-        procs = [_spawn_serve(tmp_path / "store", i, ttl) for i in range(2)]
+        procs = [spawn_serve(tmp_path / "store", "--shard-index", str(i),
+                             "--shard-count", "2", "--lease-ttl", str(ttl))
+                 for i in range(2)]
         try:
-            addrs = [_read_ready(p) for p in procs]
+            addrs = [read_ready(p) for p in procs]
             fe0 = RemoteFrontend(addrs[0][0], addrs[0][1])
             fe1 = RemoteFrontend(addrs[1][0], addrs[1][1])
             budget = int(ttl / 0.5) + 12
@@ -425,18 +424,126 @@ class TestSigkillTakeover:
             assert client.policy.directory.lookup("t") == addrs[1][2]
             fe1.disconnect()
         finally:
-            out = ""
-            for proc in procs:
-                if proc.poll() is None:
-                    proc.send_signal(signal.SIGINT)
-            for proc in procs:
-                try:
-                    stdout, _ = proc.communicate(timeout=60)
-                    out += stdout or ""
-                except subprocess.TimeoutExpired:
-                    proc.kill()
+            out = "".join(stop_serve(*procs))
         # the survivor drained clean and logged the stale takeover
         assert procs[1].returncode == 0
         assert "shutdown clean" in out
         assert "unanswered=0" in out
         assert "lease takeover: tenant=t" in out
+
+    def test_sharded_fleet_recovers_every_orphan(self, tmp_path, capsys):
+        """Two sharded frontends with janitors serve 12 tenants, created
+        round-robin.  A directory-refreshed client pre-routes interval 0
+        with no redirect.  Once every tenant has finished it, frontend 1
+        is SIGKILLed with its 6 leases held, and intervals 1-3 run for
+        every tenant: no call may fail, every orphan moves to the
+        survivor, and the survivor drains clean with its janitor never
+        outside its shard."""
+        ttl = 1.5
+        n_tenants, n_intervals = 12, 4
+        procs = [spawn_serve(tmp_path / "store", "--shard-index", str(i),
+                             "--shard-count", "2", "--lease-ttl", str(ttl),
+                             "--janitor-interval", "0.5")
+                 for i in range(2)]
+        tenants = [f"k{i:02d}" for i in range(n_tenants)]
+        orphans = tenants[1::2]              # created on frontend 1
+
+        async def scenario(addresses, owners):
+            # leases renew only on use: create every tenant at once so
+            # none lapses before its first interval
+            setup = AsyncServiceClient(addresses, seed=0)
+            await setup.connect()
+            for i, tenant in enumerate(tenants):
+                setup.route_to(tenant, owners[i % 2])
+            await asyncio.gather(*(
+                setup.create(tenant, TenantSpec(space="case_study", seed=i))
+                for i, tenant in enumerate(tenants)))
+            await setup.aclose()
+
+            # a survivor bounces an orphan's calls until the corpse's
+            # lease lapses: the budget must cover that wait at the
+            # backoff cap, on top of the ordinary failover allowance
+            client = AsyncServiceClient(
+                addresses, seed=1,
+                max_failovers=int(ttl / DEFAULT_BACKOFF_CAP) + 16)
+            await client.connect()
+            assert await client.refresh_directory() == n_tenants
+            dbs = {tenant: build_db(i) for i, tenant in enumerate(tenants)}
+            last: Dict[str, Dict[str, float]] = {t: {} for t in tenants}
+            done = {tenant: 0 for tenant in tenants}
+            recovered: Dict[str, float] = {}
+            killed_at = None
+
+            async def interval(tenant, t):
+                db = dbs[tenant]
+                inp = _suggest_input(db, t, last[tenant])
+                config = await client.suggest(tenant, inp)
+                if killed_at is not None and tenant in orphans:
+                    recovered.setdefault(tenant,
+                                         time.perf_counter() - killed_at)
+                feedback, _ = _run_interval(db, inp, config)
+                await client.observe(tenant, feedback)
+                last[tenant] = feedback.metrics
+                done[tenant] += 1
+
+            async def rest_of_session(tenant):
+                for t in range(1, n_intervals):
+                    await interval(tenant, t)
+
+            errors = [e for e in await asyncio.gather(
+                *(interval(tenant, 0) for tenant in tenants),
+                return_exceptions=True) if e is not None]
+            assert not errors, errors
+            # the directory sent every first hop to the lease holder
+            assert client.redirects == 0, client.redirects
+            assert client.first_hop_misses == 0, client.first_hop_misses
+            assert client.first_hop_hits == 2 * n_tenants
+
+            # every tenant finished interval 0: kill frontend 1 with its
+            # leases held
+            killed_at = time.perf_counter()
+            procs[1].kill()
+            procs[1].wait(timeout=30)
+            errors = [e for e in await asyncio.gather(
+                *(rest_of_session(tenant) for tenant in tenants),
+                return_exceptions=True) if e is not None]
+            status = await client.status(owners[0])
+            await client.aclose()
+            return errors, done, recovered, client, status
+
+        try:
+            addrs = [read_ready(p) for p in procs]
+            addresses = [(host, port) for host, port, _ in addrs]
+            owners = [owner for _, _, owner in addrs]
+            errors, done, recovered, client, status = asyncio.run(
+                scenario(addresses, owners))
+        finally:
+            survivor_out, _ = stop_serve(*procs)
+
+        assert not errors, errors                         # no call raised
+        assert done == {tenant: n_intervals for tenant in tenants}
+        assert client.frontend_deaths >= 1
+        for orphan in orphans:
+            assert client.policy.directory.lookup(orphan) == owners[0]
+        assert sorted(recovered) == orphans
+        assert status["inflight"] == 0 and status["stats"]["unanswered"] == 0
+        # the survivor drained clean, its janitor stayed in its shard,
+        # and it logged the takeover of every orphan
+        assert procs[0].returncode == 0, survivor_out
+        assert _shutdown_fields(survivor_out,
+                                "shutdown clean:")["unanswered"] == "0"
+        janitor = _shutdown_fields(survivor_out, "janitor clean:")
+        assert int(janitor["sweeps"]) >= 1
+        assert janitor["cross_shard"] == "0"
+        assert janitor["failed_sweeps"] == "0"
+        for orphan in orphans:
+            assert f"lease takeover: tenant={orphan} " in survivor_out
+
+        takeover_ms = {orphan: 1e3 * recovered[orphan] for orphan in orphans}
+        p50, p95 = np.percentile(list(takeover_ms.values()), [50, 95])
+        with capsys.disabled():
+            print(f"\norphan takeover at lease_ttl={ttl:g}s, kill to first "
+                  f"success: " + ", ".join(
+                      f"{orphan} {ms:.0f} ms"
+                      for orphan, ms in takeover_ms.items())
+                  + f"; p50 {p50:.0f} ms, p95 {p95:.0f} ms")

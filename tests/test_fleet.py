@@ -441,10 +441,15 @@ class TestJanitorSharding:
             assert janitor.total_cross_shard == 0
             assert janitor.total_skipped_out_of_shard == 6   # 3 x 2 sweeps
 
-    def test_shard_index_normalized_modulo_count(self, tmp_path):
-        janitor = Janitor(tmp_path, shard_index=5, shard_count=3)
-        assert janitor.shard_index == 2
-        assert janitor.shard_count == 3
+    def test_shard_coordinates_outside_range_rejected(self, tmp_path):
+        """A wrapped index would sweep another shard's slice twice and
+        leave its own unswept, so only ``0 <= index < count`` builds."""
+        for index, count in ((2, 2), (5, 3), (-1, 2), (0, 0)):
+            with pytest.raises(ValueError, match="shard_index"):
+                Janitor(tmp_path, shard_index=index, shard_count=count)
+        assert not any(tmp_path.iterdir())   # refused before the store
+        janitor = Janitor(tmp_path, shard_index=1, shard_count=2)
+        assert (janitor.shard_index, janitor.shard_count) == (1, 2)
 
 
 class TestReviewRegressions:

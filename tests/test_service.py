@@ -307,7 +307,7 @@ class TestTuningService:
         again = service.suggest("a", inp)
         assert first == again
 
-    def test_run_batch_matches_runner_and_persists(self, tmp_path):
+    def test_step_batch_matches_runner_and_persists(self, tmp_path):
         """Tenants created at their instances' configuration and stepped
         together through ``step_batch`` reproduce the harness runner's
         sessions of the same specs, are durable, and feed the knowledge
@@ -411,7 +411,7 @@ class TestKnowledgeBase:
 class TestReviewRegressions:
     """Regressions from the pre-merge review."""
 
-    def test_run_batch_supersedes_stale_live_session(self, tmp_path):
+    def test_step_batch_supersedes_stale_live_session(self, tmp_path):
         """A tenant still hydrated on frontend A after A's lease lapsed
         must not shadow the intervals frontend B stepped in the meantime:
         A's next mutating call drops its stale copy with

@@ -21,14 +21,9 @@ from __future__ import annotations
 import asyncio
 import json
 import math
-import os
-import signal
 import socket
-import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,9 +49,14 @@ from repro.service.transport import (
 from repro.service.transport import protocol
 from repro.workloads.base import WorkloadSnapshot
 
-from service_utils import build_db, drive
+from service_utils import (
+    build_db,
+    drive,
+    read_ready,
+    spawn_serve,
+    stop_serve,
+)
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 SPEC = TenantSpec(space="case_study", seed=3)
 
@@ -630,25 +630,11 @@ class TestConnectionTeardown:
 
 class TestServeCli:
     def test_serve_smoke(self, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (str(REPO_ROOT / "src")
-                             + os.pathsep + env.get("PYTHONPATH", ""))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.service.cli", "serve",
-             "--port", "0", "--store-root", str(tmp_path / "store"),
-             "--max-inflight", "64", "--queue-depth", "4"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True)
+        proc = spawn_serve(tmp_path / "store",
+                           "--max-inflight", "64", "--queue-depth", "4")
         try:
-            ready = ""
-            for _ in range(50):       # tolerate interpreter/env noise lines
-                line = proc.stdout.readline()
-                if not line or line.startswith("READY "):
-                    ready = line.strip()
-                    break
-            assert ready.startswith("READY "), ready
-            _, host, port, owner = ready.split()
-            frontend = RemoteFrontend(host, int(port))
+            host, port, owner = read_ready(proc)
+            frontend = RemoteFrontend(host, port)
             assert frontend.owner == owner
             frontend.create("smoke", SPEC)
             db = build_db(3)
@@ -662,8 +648,7 @@ class TestServeCli:
             assert "smoke" in status["tenants"]
             frontend.disconnect()
         finally:
-            proc.send_signal(signal.SIGINT)
-            out, _ = proc.communicate(timeout=60)
+            out, = stop_serve(proc)
         assert proc.returncode == 0, out
         assert "shutdown clean" in out
         assert "unanswered=0" in out
